@@ -6,10 +6,10 @@ product formula turns multiplication into contractions, which makes
 every moment a finite exact computation; the Malliavin derivative,
 carre du champ and Ornstein-Uhlenbeck generator are kernel surgery.
 
-Multiplication is capped at total order ORDER_CAP to bound the
-combinatorial blowup; the cap covers fourth moments of order-2 elements
-and squares of order-4 elements, which is everything the experiments
-need.
+Multiplication is capped at total order ORDER_CAP, the same cap that
+bounds kernel orders in kernels.py, to bound the combinatorial blowup;
+the cap covers fourth moments of order-2 elements and squares of
+order-4 elements, which is everything the experiments need.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import rng
-from .kernels import (Index, SymmetricKernel, hermite_table, inner,
-                      perm_count, slice_label, sym_contract, zero_kernel)
-
-ORDER_CAP = 8
+from .kernels import (ORDER_CAP, Index, SymmetricKernel, _add_scaled,
+                      hermite_table, inner, perm_count, slice_label,
+                      sym_contract, zero_kernel)
 
 _SAMPLE_CHUNK = 1 << 16
 
@@ -123,7 +122,6 @@ def linear_combine(terms: Sequence[tuple[float, ChaosElement]]) -> ChaosElement:
     dims = {fel.dim for _, fel in terms}
     if len(dims) != 1:
         raise ValueError(f"dim mismatch in combination: {sorted(dims)}")
-    dim = dims.pop()
     const = 0.0
     acc: dict[int, dict[Index, float]] = {}
     for a, fel in terms:
@@ -132,16 +130,8 @@ def linear_combine(terms: Sequence[tuple[float, ChaosElement]]) -> ChaosElement:
             continue
         const += a * fel.constant
         for k, ker in fel.kernels.items():
-            slot = acc.setdefault(k, {})
-            for idx, c in ker.entries.items():
-                s = slot.get(idx, 0.0) + a * c
-                if s == 0.0:
-                    slot.pop(idx, None)
-                else:
-                    slot[idx] = s
-    kernels = {k: SymmetricKernel(k, dim, {i: v for i, v in slot.items() if v != 0.0})
-               for k, slot in acc.items()}
-    return ChaosElement(dim, const, kernels)
+            _add_scaled(acc.setdefault(k, {}), ker, a)
+    return _element(dims.pop(), const, acc)
 
 
 def project(fel: ChaosElement, k: int) -> ChaosElement:
@@ -156,15 +146,33 @@ def project(fel: ChaosElement, k: int) -> ChaosElement:
     return ChaosElement(fel.dim, 0.0, {k: ker})
 
 
-def _add_scaled(slot: dict[Index, float], ker: SymmetricKernel, w: float) -> None:
-    if w == 0.0:
-        return
-    for idx, c in ker.entries.items():
-        s = slot.get(idx, 0.0) + w * c
-        if s == 0.0:
-            slot.pop(idx, None)
-        else:
-            slot[idx] = s
+def _element(dim: int, const: float, acc: dict[int, dict[Index, float]]) -> ChaosElement:
+    """Chaos element from a constant and per-order entry accumulators."""
+    return ChaosElement(dim, const, {k: SymmetricKernel(k, dim, slot)
+                                     for k, slot in acc.items() if slot})
+
+
+def _expand_pairs(f_el: ChaosElement, g_el: ChaosElement, first_r: int, weight,
+                  const: float, acc: dict[int, dict[Index, float]]) -> float:
+    """Add sum_{k,l,r >= first_r} weight(k, l, r) I_{k+l-2r}(f_k sym-contract_r g_l)
+    into acc; the full contractions (k = l = r) go into const, which is returned."""
+    for k, f in f_el.kernels.items():
+        for l, g in g_el.kernels.items():
+            for r in range(first_r, min(k, l) + 1):
+                w = weight(k, l, r)
+                if k + l - 2 * r == 0:
+                    const += w * inner(f, g)
+                else:
+                    _add_scaled(acc.setdefault(k + l - 2 * r, {}), sym_contract(f, g, r), w)
+    return const
+
+
+def _product_weight(k: int, l: int, r: int) -> int:
+    return math.factorial(r) * math.comb(k, r) * math.comb(l, r)
+
+
+def _carre_weight(k: int, l: int, r: int) -> int:
+    return k * l * math.factorial(r - 1) * math.comb(k - 1, r - 1) * math.comb(l - 1, r - 1)
 
 
 def multiply(f_el: ChaosElement, g_el: ChaosElement) -> ChaosElement:
@@ -179,24 +187,14 @@ def multiply(f_el: ChaosElement, g_el: ChaosElement) -> ChaosElement:
     if f_el.max_order + g_el.max_order > ORDER_CAP:
         raise OrderCapError(
             f"product order {f_el.max_order + g_el.max_order} exceeds cap {ORDER_CAP}")
-    dim = f_el.dim
-    const = f_el.constant * g_el.constant
     acc: dict[int, dict[Index, float]] = {}
     for k, ker in f_el.kernels.items():
         _add_scaled(acc.setdefault(k, {}), ker, g_el.constant)
     for l, ker in g_el.kernels.items():
         _add_scaled(acc.setdefault(l, {}), ker, f_el.constant)
-    for k, f in f_el.kernels.items():
-        for l, g in g_el.kernels.items():
-            for r in range(min(k, l) + 1):
-                w = math.factorial(r) * math.comb(k, r) * math.comb(l, r)
-                if k + l - 2 * r == 0:
-                    const += w * inner(f, g)
-                else:
-                    h = sym_contract(f, g, r)
-                    _add_scaled(acc.setdefault(k + l - 2 * r, {}), h, w)
-    kernels = {k: SymmetricKernel(k, dim, dict(slot)) for k, slot in acc.items() if slot}
-    return ChaosElement(dim, const, kernels)
+    const = _expand_pairs(f_el, g_el, 0, _product_weight,
+                          f_el.constant * g_el.constant, acc)
+    return _element(f_el.dim, const, acc)
 
 
 def expectation(fel: ChaosElement) -> float:
@@ -357,21 +355,9 @@ def carre_du_champ(f_el: ChaosElement, g_el: ChaosElement) -> ChaosElement:
     """
     if f_el.dim != g_el.dim:
         raise ValueError(f"dim mismatch: {f_el.dim} vs {g_el.dim}")
-    dim = f_el.dim
-    const = 0.0
     acc: dict[int, dict[Index, float]] = {}
-    for k, f in f_el.kernels.items():
-        for l, g in g_el.kernels.items():
-            for r in range(1, min(k, l) + 1):
-                w = k * l * math.factorial(r - 1) * math.comb(k - 1, r - 1) \
-                    * math.comb(l - 1, r - 1)
-                if k + l - 2 * r == 0:
-                    const += w * inner(f, g)
-                else:
-                    h = sym_contract(f, g, r)
-                    _add_scaled(acc.setdefault(k + l - 2 * r, {}), h, w)
-    kernels = {k: SymmetricKernel(k, dim, dict(slot)) for k, slot in acc.items() if slot}
-    return ChaosElement(dim, const, kernels)
+    const = _expand_pairs(f_el, g_el, 1, _carre_weight, 0.0, acc)
+    return _element(f_el.dim, const, acc)
 
 
 def ou_generator(fel: ChaosElement) -> ChaosElement:

@@ -20,15 +20,14 @@ import sys
 import numpy as np
 
 from . import io
-from .chaos import ChaosElement, evaluate, linear_combine, moment, sample, single_integral
+from .chaos import (ChaosElement, basis_element, evaluate, moment, sample,
+                    single_integral)
 from .experiments import (ExperimentReport, MultilinearSpec, SequenceSpec,
                           carbery_wright_probe, d12_rate_probe,
                           df_small_ball_probe, dm_rate,
                           fourth_moment_certificate, identity_suite,
-                          moo_invariance, pair_sum_element, pair_sum_vector,
-                          peccati_tudor_run, rademacher_average,
-                          shigekawa_rate)
-from .kernels import SymmetricKernel
+                          moo_invariance, pair_sum_vector, peccati_tudor_run,
+                          rademacher_average, shigekawa_rate)
 
 VERIFY_EXPERIMENTS = ("fourth-moment", "shigekawa", "dm", "cw", "dball",
                       "pt", "moo", "d12")
@@ -38,127 +37,129 @@ class ConfigError(ValueError):
     pass
 
 
-def _cfg(cfg: dict, key: str, kind=None, where: str = "config"):
-    if key not in cfg:
-        raise ConfigError(f"{where}/{key}: missing required field")
-    val = cfg[key]
-    if kind is int and isinstance(val, bool):
-        raise ConfigError(f"{where}/{key}: expected an integer")
-    if kind is not None and not isinstance(val, kind):
-        raise ConfigError(f"{where}/{key}: expected {getattr(kind, '__name__', kind)}")
+_NUMBER = (int, float)
+
+
+def _check(val, kind, where: str):
+    """val, after checking that it is a kind; a bool is never a number."""
+    if kind is not None and (isinstance(val, bool) or not isinstance(val, kind)):
+        raise ConfigError(f"{where}: expected {getattr(kind, '__name__', 'a number')}")
     return val
 
 
+def _cfg(cfg: dict, key: str, kind=None, where: str = "config"):
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where}: expected an object")
+    if key not in cfg:
+        raise ConfigError(f"{where}/{key}: missing required field")
+    return _check(cfg[key], kind, f"{where}/{key}")
+
+
+def _cfg_list(cfg: dict, key: str, kind, where: str = "config") -> list:
+    """A list field whose every entry is a kind."""
+    return [_check(v, kind, f"{where}/{key}/{i}")
+            for i, v in enumerate(_cfg(cfg, key, list, where))]
+
+
 def _cfg_samples(cfg: dict, minimum: int = 1000) -> int:
-    n = int(_cfg(cfg, "n_samples", int))
+    n = _cfg(cfg, "n_samples", int)
     if n < minimum:
         raise ConfigError(f"config/n_samples: need at least {minimum} for distance estimation")
     return n
 
 
-def _kernel_from_config(cfg: dict, key: str) -> SymmetricKernel:
+def _from_config(cfg: dict, key: str, load, parse):
+    """A kernel or chaos field: a file path, {"file": path}, or an inline object."""
     obj = _cfg(cfg, key)
-    if isinstance(obj, str):
-        return io.load_kernel(obj)
     if isinstance(obj, dict) and "file" in obj:
-        return io.load_kernel(obj["file"])
-    return io.kernel_from_dict(obj, where=f"config/{key}")
+        obj = _cfg(obj, "file", str, f"config/{key}")
+    if isinstance(obj, str):
+        return load(obj)
+    return parse(obj, where=f"config/{key}")
 
 
 def _chaos_from_config(cfg: dict, key: str) -> ChaosElement:
-    obj = _cfg(cfg, key)
-    if isinstance(obj, str):
-        return io.load_chaos(obj)
-    if isinstance(obj, dict) and "file" in obj:
-        return io.load_chaos(obj["file"])
-    return io.chaos_from_dict(obj, where=f"config/{key}")
+    return _from_config(cfg, key, io.load_chaos, io.chaos_from_dict)
 
 
-def _members_from_config(cfg: dict):
-    """Family members as (label, element) pairs: pair-sum sizes or chaos files."""
-    if "indices" in cfg:
-        return [(float(n), pair_sum_element(int(n)))
-                for n in _cfg(cfg, "indices", list)]
-    files = _cfg(cfg, "members", list)
-    out = []
-    for i, path in enumerate(files):
-        if not isinstance(path, str):
-            raise ConfigError(f"config/members/{i}: expected a file path")
-        out.append((float(i), io.load_chaos(path)))
-    return out
+def _spec_from_config(cfg: dict, family: str) -> SequenceSpec:
+    """The member family of a config: pair-sum indices, a base + scale *
+    direction perturbation, or chaos files named by members."""
+    if family == "pair-sum":
+        return SequenceSpec(family, indices=tuple(_cfg_list(cfg, "indices", int)))
+    if family == "custom-files":
+        return SequenceSpec(family, paths=tuple(_cfg_list(cfg, "members", str)))
+    base, direction = (_from_config(cfg, key, io.load_kernel, io.kernel_from_dict)
+                       for key in ("base", "direction"))
+    if (direction.order, direction.dim) != (base.order, base.dim):
+        raise ConfigError(f"config/direction: order {direction.order} and dim "
+                          f"{direction.dim} must match base ({base.order}, {base.dim})")
+    return SequenceSpec(family, base=base, direction=direction,
+                        scales=tuple(float(t) for t in _cfg_list(cfg, "scales", _NUMBER)))
 
 
 def _limit_from_config(cfg: dict) -> ChaosElement:
-    obj = _cfg(cfg, "limit")
-    if obj == "standard-gaussian":
-        return ChaosElement(1, 0.0, {1: SymmetricKernel(1, 1, {(1,): 1.0})})
+    if _cfg(cfg, "limit") == "standard-gaussian":
+        return basis_element(1, 1)
     return _chaos_from_config(cfg, "limit")
 
 
 def _run_verify(name: str, cfg: dict, workers: int) -> ExperimentReport:
-    seed = int(_cfg(cfg, "seed", int))
+    seed = _cfg(cfg, "seed", int)
     if name == "fourth-moment":
-        spec = SequenceSpec("pair-sum",
-                            indices=tuple(int(n) for n in _cfg(cfg, "indices", list)))
-        return fourth_moment_certificate(int(cfg.get("k", 2)), spec,
+        return fourth_moment_certificate(int(cfg.get("k", 2)),
+                                         _spec_from_config(cfg, "pair-sum"),
                                          _cfg_samples(cfg), seed, workers=workers)
     if name == "shigekawa":
-        members = _members_from_config(cfg)
-        return shigekawa_rate(int(_cfg(cfg, "p", int)), members,
+        spec = _spec_from_config(cfg, "pair-sum" if "indices" in cfg else "custom-files")
+        return shigekawa_rate(_cfg(cfg, "p", int), spec.build(),
                               _limit_from_config(cfg), _cfg_samples(cfg), seed,
                               workers=workers)
     if name == "dm":
-        base = _kernel_from_config(cfg, "base")
-        direction = _kernel_from_config(cfg, "direction")
-        scales = [float(t) for t in _cfg(cfg, "scales", list)]
-        return dm_rate(int(_cfg(cfg, "k", int)), base,
-                       [(t, direction) for t in scales],
+        spec = _spec_from_config(cfg, "perturbation")
+        return dm_rate(_cfg(cfg, "k", int), spec.base,
+                       [(t, spec.direction) for t in spec.scales],
                        _cfg_samples(cfg), seed, workers=workers)
     if name == "cw":
         return carbery_wright_probe(_chaos_from_config(cfg, "chaos"),
-                                    [float(a) for a in _cfg(cfg, "alphas", list)],
+                                    [float(a) for a in _cfg_list(cfg, "alphas", _NUMBER)],
                                     _cfg_samples(cfg, 10_000), seed, workers=workers)
     if name == "dball":
         return df_small_ball_probe(_chaos_from_config(cfg, "chaos"),
-                                   [float(v) for v in _cfg(cfg, "lambdas", list)],
+                                   [float(v) for v in _cfg_list(cfg, "lambdas", _NUMBER)],
                                    _cfg_samples(cfg, 10_000), seed, workers=workers)
     if name == "pt":
         cov = np.asarray(cfg.get("covariance", [[1.0, 0.0], [0.0, 1.0]]), dtype=float)
-        vectors = [(float(n), pair_sum_vector(int(n)))
-                   for n in _cfg(cfg, "indices", list)]
+        vectors = [(float(n), pair_sum_vector(n)) for n in _cfg_list(cfg, "indices", int)]
         return peccati_tudor_run([1, 2], vectors, cov, _cfg_samples(cfg, 10_000),
                                  seed, workers=workers)
     if name == "moo":
         specs = _moo_specs(cfg)
         return moo_invariance(specs, _cfg_samples(cfg), seed)
     if name == "d12":
-        alpha = float(_cfg(cfg, "alpha", (int, float)))
+        alpha = float(_cfg(cfg, "alpha", _NUMBER))
         if "base" in cfg:
             # perturbation family: members I(base + t direction), limit I(base)
-            base = single_integral(_kernel_from_config(cfg, "base"))
-            direction = single_integral(_kernel_from_config(cfg, "direction"))
-            members = [(float(t), linear_combine([(1.0, base), (float(t), direction)]))
-                       for t in _cfg(cfg, "scales", list)]
-            limit = base
+            spec = _spec_from_config(cfg, "perturbation")
+            limit = single_integral(spec.base)
         else:
-            members = [(float(i), io.load_chaos(p))
-                       for i, p in enumerate(_cfg(cfg, "members", list))]
-            limit = _chaos_from_config(cfg, "limit")
-        return d12_rate_probe(members, limit, alpha,
+            spec = _spec_from_config(cfg, "custom-files")
+            limit = _limit_from_config(cfg)
+        return d12_rate_probe(spec.build(), limit, alpha,
                               _cfg_samples(cfg), seed, workers=workers)
     raise ConfigError(f"config/experiment: unknown experiment {name!r}")
 
 
 def _moo_specs(cfg: dict) -> list[MultilinearSpec]:
     if "sizes" in cfg:
-        return [rademacher_average(int(n)) for n in _cfg(cfg, "sizes", list)]
+        return [rademacher_average(n) for n in _cfg_list(cfg, "sizes", int)]
     specs = []
     for i, raw in enumerate(_cfg(cfg, "specs", list)):
         where = f"config/specs/{i}"
         coeffs = {}
         for j, ent in enumerate(_cfg(raw, "coeffs", list, where)):
-            subset = tuple(_cfg(ent, "subset", list, f"{where}/coeffs/{j}"))
-            coeffs[subset] = float(_cfg(ent, "c", (int, float), f"{where}/coeffs/{j}"))
+            subset = tuple(_cfg_list(ent, "subset", int, f"{where}/coeffs/{j}"))
+            coeffs[subset] = float(_cfg(ent, "c", _NUMBER, f"{where}/coeffs/{j}"))
         specs.append(MultilinearSpec(
             coeffs, law=raw.get("law", "rademacher"),
             law_values=tuple(raw.get("values", ())),
@@ -187,11 +188,14 @@ def _write_rows_csv(rep: ExperimentReport, path: str) -> None:
         for key in row:
             if key not in cols:
                 cols.append(key)
-    with open(path, "w", newline="") as fh:
+
+    def write(fh) -> None:
         writer = csv.writer(fh)
         writer.writerow(cols)
         for row in rep.rows:
             writer.writerow([json.dumps(row.get(c), sort_keys=True) for c in cols])
+
+    io.write_atomic(path, write, newline="")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -279,10 +283,7 @@ def main(argv=None) -> int:
         print(_report_summary(rep), file=sys.stderr)
         return 0 if rep.verdict in ("pass", "vacuous") else 1
 
-    except (ConfigError, io.SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and SchemaError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

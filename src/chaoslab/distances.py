@@ -77,6 +77,27 @@ def _finish(point: float, boots: np.ndarray, method: str,
                             float(max(hi, point)), method, counts)
 
 
+def _bootstrap(stat, samples: list[tuple[np.ndarray, int]], n_boot: int,
+               seed: int, label: int, method: str,
+               cap: float | None = None) -> DistanceEstimate:
+    """stat on the observed counts plus a multinomial bootstrap CI.
+
+    samples holds one (counts, n) pair per argument of stat; each replicate
+    redraws every argument's counts, in argument order, from one generator
+    seeded by (seed, label).  A cap clamps the value and both CI ends.
+    """
+    point = stat(*(c for c, _ in samples))
+    gen = np.random.default_rng(rng.derive(seed, label))
+    probs = [(n, c / n) for c, n in samples]
+    boots = np.array([stat(*[gen.multinomial(n, p) for n, p in probs])
+                      for _ in range(n_boot)])
+    est = _finish(point, boots, method, tuple(n for _, n in samples))
+    if cap is None:
+        return est
+    return DistanceEstimate(min(est.value, cap), min(est.ci_low, cap),
+                            min(est.ci_high, cap), method, est.n_samples)
+
+
 def normal_cdf(x, mean: float = 0.0, var: float = 1.0):
     return ndtr((x - mean) / math.sqrt(var))
 
@@ -124,13 +145,7 @@ def tv_vs_density(batch, mean: float = 0.0, var: float = 1.0,
         dens = np.convolve(c, kernel, mode="same") / (n * dx)
         return 0.5 * (float(np.trapezoid(np.abs(dens - target), dx=dx)) + tail)
 
-    point = stat(counts)
-    gen = np.random.default_rng(rng.derive(seed, 0x7D1))
-    probs = counts / n
-    boots = np.array([stat(gen.multinomial(n, probs)) for _ in range(n_boot)])
-    est = _finish(point, boots, "tv-kde", (n,))
-    return DistanceEstimate(min(est.value, 1.0), min(est.ci_low, 1.0),
-                            min(est.ci_high, 1.0), est.method, est.n_samples)
+    return _bootstrap(stat, [(counts, n)], n_boot, seed, 0x7D1, "tv-kde", cap=1.0)
 
 
 def tv_two_samples(s1, s2, bins: int | None = None, n_boot: int = 200,
@@ -157,12 +172,7 @@ def tv_two_samples(s1, s2, bins: int | None = None, n_boot: int = 200,
     def stat(a, b) -> float:
         return 0.5 * float(np.abs(a / n1 - b / n2).sum())
 
-    point = stat(c1, c2)
-    gen = np.random.default_rng(rng.derive(seed, 0x7D2))
-    p1, p2 = c1 / n1, c2 / n2
-    boots = np.array([stat(gen.multinomial(n1, p1), gen.multinomial(n2, p2))
-                      for _ in range(n_boot)])
-    return _finish(point, boots, "tv-hist", (n1, n2))
+    return _bootstrap(stat, [(c1, n1), (c2, n2)], n_boot, seed, 0x7D2, "tv-hist")
 
 
 def tv_multivariate(batch, cov, grid_cells: int = 40, n_boot: int = 200,
@@ -205,13 +215,7 @@ def tv_multivariate(batch, cov, grid_cells: int = 40, n_boot: int = 200,
         emp = c[:-1] / n
         return 0.5 * (float(np.abs(emp - gmass).sum()) + c[-1] / n + gout)
 
-    point = stat(cells)
-    gen = np.random.default_rng(rng.derive(seed, 0x7D3))
-    probs = cells / n
-    boots = np.array([stat(gen.multinomial(n, probs)) for _ in range(n_boot)])
-    est = _finish(point, boots, "tv-grid2d", (n,))
-    return DistanceEstimate(min(est.value, 1.0), min(est.ci_low, 1.0),
-                            min(est.ci_high, 1.0), est.method, est.n_samples)
+    return _bootstrap(stat, [(cells, n)], n_boot, seed, 0x7D3, "tv-grid2d", cap=1.0)
 
 
 def _fm_lattice(dx: float, levels: int, cells: int) -> tuple[np.ndarray, int | None]:
@@ -273,14 +277,10 @@ def fm_two_samples(s1, s2, cells: int = 512, levels: int = 201,
     c1 = np.histogram(x1, edges)[0]
     c2 = np.histogram(x2, edges)[0]
 
-    point = _fm_stat(c1 / n1 - c2 / n2, lv, window)
-    gen = np.random.default_rng(rng.derive(seed, 0x7D4))
-    p1, p2 = c1 / n1, c2 / n2
-    boots = np.array([
-        _fm_stat(gen.multinomial(n1, p1) / n1 - gen.multinomial(n2, p2) / n2,
-                 lv, window)
-        for _ in range(n_boot)])
-    return _finish(point, boots, "fm-dp", (n1, n2))
+    def stat(a, b) -> float:
+        return _fm_stat(a / n1 - b / n2, lv, window)
+
+    return _bootstrap(stat, [(c1, n1), (c2, n2)], n_boot, seed, 0x7D4, "fm-dp")
 
 
 def wasserstein1(s1, s2, n_boot: int = 200, seed: int = 0) -> DistanceEstimate:

@@ -16,6 +16,7 @@ vacuous rather than silently passed.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -25,13 +26,13 @@ import numpy as np
 
 from . import rng
 from .chaos import (ChaosElement, ChaosVector, OrderCapError, SampleBatch,
-                    carre_du_champ, check_ibp, constant_element, covariance,
-                    det_chaos, evaluate_batch, expectation,
-                    expectation_of_product, gaussian_matrix, linear_combine,
-                    malliavin_matrix, mderiv, moment, multiply, project,
-                    sample, single_integral, variance)
-from .distances import (DistanceEstimate, fm_two_samples, small_ball,
-                        tv_multivariate, tv_two_samples, tv_vs_density)
+                    basis_element, carre_du_champ, check_ibp,
+                    constant_element, covariance, det_chaos, evaluate_batch,
+                    expectation, expectation_of_product, gaussian_matrix,
+                    linear_combine, malliavin_matrix, mderiv, moment,
+                    multiply, project, sample, single_integral, variance)
+from .distances import (fm_two_samples, small_ball, tv_multivariate,
+                        tv_two_samples, tv_vs_density)
 from .kernels import SymmetricKernel, kernel_add, make_kernel
 
 IDENTITY_GATE = 1e-8
@@ -53,8 +54,15 @@ class ExperimentReport:
         return [r[key] for r in self.rows]
 
 
-def _est(e: DistanceEstimate) -> dict:
-    return e.to_dict()
+def _timed(experiment):
+    """Set the returned report's wall_clock to the seconds the whole call took."""
+    @functools.wraps(experiment)
+    def run(*args, **kwargs) -> ExperimentReport:
+        t0 = time.perf_counter()
+        rep = experiment(*args, **kwargs)
+        rep.wall_clock = time.perf_counter() - t0
+        return rep
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +90,7 @@ def pair_sum_element(n: int, offset: int = 0, dim: int | None = None) -> ChaosEl
 def pair_sum_vector(n: int) -> ChaosVector:
     """(X_1, pair-sum on labels >= 2): independent components, C = I_2."""
     dim = 2 * n + 1
-    first = ChaosElement(dim, 0.0, {1: SymmetricKernel(1, dim, {(1,): 1.0})})
-    return ChaosVector((first, pair_sum_element(n, offset=1, dim=dim)))
+    return ChaosVector((basis_element(dim, 1), pair_sum_element(n, offset=1, dim=dim)))
 
 
 @dataclass(frozen=True)
@@ -241,6 +248,7 @@ def sample_multilinear(spec: MultilinearSpec, n_samples: int, seed: int) -> Samp
 # ---------------------------------------------------------------------------
 # experiments
 
+@_timed
 def fourth_moment_certificate(k: int, spec: SequenceSpec, n_samples: int,
                               seed: int, workers: int = 1) -> ExperimentReport:
     """Fourth-moment bound for normal approximation of a kth-chaos family.
@@ -255,7 +263,6 @@ def fourth_moment_certificate(k: int, spec: SequenceSpec, n_samples: int,
         raise ValueError("fourth-moment certificate needs chaos order k >= 2")
     const = math.sqrt((4.0 * k - 4.0) / (3.0 * k))
     rows = []
-    t0 = time.perf_counter()
     for pos, (label, fel) in enumerate(spec.build()):
         var = variance(fel)
         if var <= 0.0:
@@ -268,12 +275,11 @@ def fourth_moment_certificate(k: int, spec: SequenceSpec, n_samples: int,
         vacuous = bound >= 1.0
         passed = vacuous or tv.value <= bound + tv.ci_width() + 0.02
         rows.append({"index": label, "variance": var, "fourth_moment": m4,
-                     "bound": bound, "tv": _est(tv), "vacuous": vacuous,
+                     "bound": bound, "tv": tv.to_dict(), "vacuous": vacuous,
                      "passed": bool(passed)})
     verdict = _all_rows_verdict(rows)
     return ExperimentReport("fourth-moment", seed, rows, verdict,
-                            notes=[f"bound constant sqrt((4k-4)/(3k)) = {const:.6f} at k={k}"],
-                            wall_clock=time.perf_counter() - t0)
+                            notes=[f"bound constant sqrt((4k-4)/(3k)) = {const:.6f} at k={k}"])
 
 
 def _all_rows_verdict(rows: Sequence[dict]) -> str:
@@ -284,6 +290,7 @@ def _all_rows_verdict(rows: Sequence[dict]) -> str:
     return "pass"
 
 
+@_timed
 def shigekawa_rate(p: int, members: Sequence[tuple[float, ChaosElement]],
                    f_inf: ChaosElement, n_samples: int, seed: int,
                    tv_threshold: float = 0.05, ratio_slack: float = 0.5,
@@ -302,7 +309,6 @@ def shigekawa_rate(p: int, members: Sequence[tuple[float, ChaosElement]],
         if fel.max_order > p:
             raise ValueError(f"member {label} exceeds declared max order {p}")
     expo = 1.0 / (2.0 * p + 1.0)
-    t0 = time.perf_counter()
     ref = sample(f_inf, n_samples, rng.derive(seed, 0), workers=workers)
     rows = []
     for pos, (label, fel) in enumerate(members):
@@ -314,15 +320,14 @@ def shigekawa_rate(p: int, members: Sequence[tuple[float, ChaosElement]],
             m4 = moment(fel, 4)
         except OrderCapError:
             m4 = None
-        rows.append({"index": label, "tv": _est(tv), "fm": _est(fm),
+        rows.append({"index": label, "tv": tv.to_dict(), "fm": fm.to_dict(),
                      "ratio": ratio, "fourth_moment": m4})
     verdict = _shigekawa_verdict(rows, tv_threshold, ratio_slack, fm_floor)
     notes = [f"rate exponent 1/(2p+1) = {expo:.6f} at p={p}"]
     m4s = [r["fourth_moment"] for r in rows if r["fourth_moment"] is not None]
     if m4s:
         notes.append(f"exact fourth moments bounded by {max(m4s):.6f}")
-    return ExperimentReport("shigekawa", seed, rows, verdict, notes,
-                            wall_clock=time.perf_counter() - t0)
+    return ExperimentReport("shigekawa", seed, rows, verdict, notes)
 
 
 def _shigekawa_verdict(rows: Sequence[dict], tv_threshold: float,
@@ -340,6 +345,7 @@ def _shigekawa_verdict(rows: Sequence[dict], tv_threshold: float,
     return "pass"
 
 
+@_timed
 def dm_rate(k: int, f_inf: SymmetricKernel,
             perturbations: Sequence[tuple[float, SymmetricKernel]],
             n_samples: int, seed: int, slope_slack: float = 0.1,
@@ -359,7 +365,6 @@ def dm_rate(k: int, f_inf: SymmetricKernel,
         raise ValueError(f"limit kernel has order {f_inf.order}, declared k={k}")
     base = single_integral(f_inf)
     expo = 1.0 / (2.0 * k)
-    t0 = time.perf_counter()
     ref = sample(base, n_samples, rng.derive(seed, 0), workers=workers)
     rows = []
     for pos, (t, g) in enumerate(perturbations):
@@ -371,13 +376,12 @@ def dm_rate(k: int, f_inf: SymmetricKernel,
                        workers=workers)
         tv = tv_two_samples(batch, ref, seed=rng.derive(seed, 1000 + pos))
         fitted = tv.value / dist ** expo if dist > 0.0 else 0.0
-        rows.append({"t": float(t), "kernel_dist": dist, "tv": _est(tv),
+        rows.append({"t": float(t), "kernel_dist": dist, "tv": tv.to_dict(),
                      "fitted_c": fitted})
     verdict, slope = _dm_verdict(rows, expo, slope_slack, stability_factor)
     return ExperimentReport("davydov-martynova", seed, rows, verdict,
                             notes=[f"exponent 1/(2k) = {expo:.6f} at k={k}",
-                                   f"log-log slope = {slope:.4f}"],
-                            wall_clock=time.perf_counter() - t0)
+                                   f"log-log slope = {slope:.4f}"])
 
 
 def _dm_verdict(rows: Sequence[dict], expo: float, slope_slack: float,
@@ -398,6 +402,7 @@ def _dm_verdict(rows: Sequence[dict], expo: float, slope_slack: float,
     return "pass", slope
 
 
+@_timed
 def carbery_wright_probe(q_el: ChaosElement, alphas: Sequence[float],
                          n_samples: int, seed: int,
                          gate: float = CONSTANT_GATE,
@@ -415,21 +420,20 @@ def carbery_wright_probe(q_el: ChaosElement, alphas: Sequence[float],
         raise ValueError("alphas must be positive and strictly decreasing")
     d = q_el.max_order
     m2 = moment(q_el, 2)
-    t0 = time.perf_counter()
     batch = sample(q_el, n_samples, rng.derive(seed, 0), workers=workers)
     rows = []
     for a in alphas:
         sb = small_ball(batch, a)
         ratio = m2 ** (1.0 / (2.0 * d)) * sb.value / (d * a ** (1.0 / d))
-        rows.append({"alpha": a, "prob": _est(sb), "ratio": ratio})
+        rows.append({"alpha": a, "prob": sb.to_dict(), "ratio": ratio})
     worst = max(r["ratio"] for r in rows)
     verdict = "pass" if worst <= gate else "fail"
     return ExperimentReport("carbery-wright", seed, rows, verdict,
                             notes=[f"degree {d}, exact E[Q^2] = {m2:.6f}",
-                                   f"max normalized ratio {worst:.4f} (gate {gate})"],
-                            wall_clock=time.perf_counter() - t0)
+                                   f"max normalized ratio {worst:.4f} (gate {gate})"])
 
 
+@_timed
 def df_small_ball_probe(fel: ChaosElement, lambdas: Sequence[float],
                         n_samples: int, seed: int,
                         gate: float = CONSTANT_GATE,
@@ -447,7 +451,6 @@ def df_small_ball_probe(fel: ChaosElement, lambdas: Sequence[float],
         raise ValueError("element must have positive variance")
     p = fel.max_order
     grad_sq = carre_du_champ(fel, fel)
-    t0 = time.perf_counter()
     batch = sample(grad_sq, n_samples, rng.derive(seed, 0), workers=workers)
     rows = []
     for lam in lambdas:
@@ -460,7 +463,7 @@ def df_small_ball_probe(fel: ChaosElement, lambdas: Sequence[float],
             ratio = sb.value / scale
         else:
             ratio = None
-        rows.append({"lambda": lam, "prob": _est(sb), "ratio": ratio})
+        rows.append({"lambda": lam, "prob": sb.to_dict(), "ratio": ratio})
     ratios = [r["ratio"] for r in rows if r["ratio"] is not None]
     if ratios:
         verdict = "pass" if max(ratios) <= gate else "fail"
@@ -468,10 +471,10 @@ def df_small_ball_probe(fel: ChaosElement, lambdas: Sequence[float],
         verdict = "vacuous"
     return ExperimentReport("gradient-small-ball", seed, rows, verdict,
                             notes=[f"max order {p}, exact E||DF||^2 = "
-                                   f"{expectation(grad_sq):.6f}"],
-                            wall_clock=time.perf_counter() - t0)
+                                   f"{expectation(grad_sq):.6f}"])
 
 
+@_timed
 def peccati_tudor_run(k_list: Sequence[int],
                       vectors: Sequence[tuple[float, ChaosVector]],
                       cov: np.ndarray, n_samples: int, seed: int,
@@ -493,7 +496,6 @@ def peccati_tudor_run(k_list: Sequence[int],
     if cov.shape != (2, 2) or np.linalg.det(cov) <= 0.0:
         raise ValueError("target covariance must be 2x2 with positive determinant")
     gamma_target = float(np.linalg.det(cov)) * math.prod(k_list)
-    t0 = time.perf_counter()
     rows = []
     for pos, (label, vec) in enumerate(vectors):
         if len(vec) != d:
@@ -524,12 +526,11 @@ def peccati_tudor_run(k_list: Sequence[int],
         rows.append({"index": label, "cov_gap": cov_gap, "cross_cov_gap": cross_gap,
                      "det_mean": det_mean, "det_var": det_var,
                      "gram_gap": gram_gap,
-                     "marginal_tv": [_est(m) for m in marg],
-                     "joint_tv": _est(joint)})
+                     "marginal_tv": [m.to_dict() for m in marg],
+                     "joint_tv": joint.to_dict()})
     verdict = _peccati_tudor_verdict(rows, gamma_target, joint_gate)
     return ExperimentReport("peccati-tudor", seed, rows, verdict,
-                            notes=[f"det Gamma target = {gamma_target:.6f}"],
-                            wall_clock=time.perf_counter() - t0)
+                            notes=[f"det Gamma target = {gamma_target:.6f}"])
 
 
 def _peccati_tudor_verdict(rows: Sequence[dict], gamma_target: float,
@@ -548,6 +549,7 @@ def _peccati_tudor_verdict(rows: Sequence[dict], gamma_target: float,
     return "pass" if rows[-1]["joint_tv"]["value"] <= joint_gate else "fail"
 
 
+@_timed
 def moo_invariance(specs: Sequence[MultilinearSpec], n_samples: int, seed: int,
                    fm_gate: float = 0.05) -> ExperimentReport:
     """Invariance principle for multilinear polynomials with low influences.
@@ -559,7 +561,6 @@ def moo_invariance(specs: Sequence[MultilinearSpec], n_samples: int, seed: int,
     nonincreasing as the maximal influence shrinks, and beat the gate at
     the lowest-influence member.
     """
-    t0 = time.perf_counter()
     rows = []
     for pos, spec in enumerate(specs):
         xs = sample_multilinear(spec, n_samples, rng.derive(seed, 2 * pos))
@@ -569,10 +570,9 @@ def moo_invariance(specs: Sequence[MultilinearSpec], n_samples: int, seed: int,
         rows.append({"dim": spec.dim, "degree": spec.degree,
                      "max_influence": spec.max_influence(),
                      "influences_sum": float(spec.influences().sum()),
-                     "fm": _est(fm)})
+                     "fm": fm.to_dict()})
     verdict = _moo_verdict(rows, fm_gate)
-    return ExperimentReport("moo-invariance", seed, rows, verdict,
-                            wall_clock=time.perf_counter() - t0)
+    return ExperimentReport("moo-invariance", seed, rows, verdict)
 
 
 def _moo_verdict(rows: Sequence[dict], fm_gate: float) -> str:
@@ -583,6 +583,7 @@ def _moo_verdict(rows: Sequence[dict], fm_gate: float) -> str:
     return "pass" if fms[-1] <= fm_gate else "fail"
 
 
+@_timed
 def d12_rate_probe(members: Sequence[tuple[float, ChaosElement]],
                    f_inf: ChaosElement, alpha: float, n_samples: int,
                    seed: int, stability_factor: float = 3.0,
@@ -599,7 +600,6 @@ def d12_rate_probe(members: Sequence[tuple[float, ChaosElement]],
     if not (0.0 < alpha <= 2.0):
         raise ValueError("alpha must lie in (0, 2]")
     expo = alpha / (alpha + 2.0)
-    t0 = time.perf_counter()
     grad_sq = carre_du_champ(f_inf, f_inf)
     gvals = sample(grad_sq, n_samples, rng.derive(seed, 1), workers=workers).values
     kept = gvals[gvals >= trunc]
@@ -614,15 +614,14 @@ def d12_rate_probe(members: Sequence[tuple[float, ChaosElement]],
         tv = tv_two_samples(batch, ref, seed=rng.derive(seed, 1000 + pos))
         dnorm = math.sqrt(max(norm_sq, 0.0))
         fitted = tv.value / dnorm ** expo if dnorm > 0.0 else 0.0
-        rows.append({"index": label, "d12_norm": dnorm, "tv": _est(tv),
+        rows.append({"index": label, "d12_norm": dnorm, "tv": tv.to_dict(),
                      "fitted_c": fitted})
     verdict = _d12_verdict(rows, stability_factor)
     notes = [f"exponent alpha/(alpha+2) = {expo:.6f} at alpha={alpha}",
              f"E||DF_inf||^-alpha estimate {neg_moment:.6f}, truncated mass {trunc_mass:.2e}"]
     if trunc_mass > 1e-4:
         notes.append("negative-moment estimate unreliable: truncated mass exceeds 1e-4")
-    return ExperimentReport("d12-rate", seed, rows, verdict, notes,
-                            wall_clock=time.perf_counter() - t0)
+    return ExperimentReport("d12-rate", seed, rows, verdict, notes)
 
 
 def _d12_verdict(rows: Sequence[dict], stability_factor: float) -> str:
@@ -667,6 +666,7 @@ def _coeff_gap(a: ChaosElement, b: ChaosElement) -> float:
     return worst
 
 
+@_timed
 def identity_suite(trials: int, seed: int,
                    gate: float = IDENTITY_GATE) -> ExperimentReport:
     """Exact algebraic identities on random sparse elements.
@@ -679,7 +679,6 @@ def identity_suite(trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    t0 = time.perf_counter()
     gen = np.random.default_rng(rng.derive(seed, 0xA11))
     dev = {"product_law": 0.0, "carre_two_routes": 0.0, "ibp": 0.0,
            "delta_d_duality": 0.0, "poincare": 0.0, "hypercontractivity": 0.0,
@@ -730,5 +729,4 @@ def identity_suite(trials: int, seed: int,
             for name, d in dev.items()]
     verdict = _all_rows_verdict(rows)
     return ExperimentReport("identities", seed, rows, verdict,
-                            notes=[f"{trials} random trials, gate {gate}"],
-                            wall_clock=time.perf_counter() - t0)
+                            notes=[f"{trials} random trials, gate {gate}"])

@@ -108,18 +108,23 @@ def dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def write_json_atomic(obj: dict, path: str) -> None:
-    """Serialize to a temp file in the target directory, then rename."""
+def write_atomic(path: str, write, newline: str | None = None) -> None:
+    """Call write(fh) on a temp file in the target directory, then rename it
+    over path, so readers see the old file or the whole new one."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(dumps(obj))
+        with os.fdopen(fd, "w", newline=newline) as fh:
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json_atomic(obj: dict, path: str) -> None:
+    write_atomic(path, lambda fh: fh.write(dumps(obj)))
 
 
 def load_json(path: str) -> dict:
@@ -157,21 +162,16 @@ def save_report(rep: ExperimentReport, path: str) -> None:
 def save_samples_csv(batch: SampleBatch, path: str) -> None:
     """One row per sample; header 'value' for scalars, 'x1,...' for vectors."""
     vals = np.asarray(batch.values)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            if vals.ndim == 1:
-                writer.writerow(["value"])
-                for v in vals:
-                    writer.writerow([repr(float(v))])
-            else:
-                writer.writerow([f"x{i + 1}" for i in range(vals.shape[1])])
-                for row in vals:
-                    writer.writerow([repr(float(v)) for v in row])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+
+    def write(fh) -> None:
+        writer = csv.writer(fh)
+        if vals.ndim == 1:
+            writer.writerow(["value"])
+            for v in vals:
+                writer.writerow([repr(float(v))])
+        else:
+            writer.writerow([f"x{i + 1}" for i in range(vals.shape[1])])
+            for row in vals:
+                writer.writerow([repr(float(v)) for v in row])
+
+    write_atomic(path, write, newline="")

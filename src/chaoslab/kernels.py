@@ -26,8 +26,8 @@ from typing import Iterable, Mapping
 Index = tuple[int, ...]
 
 # Multiset-split combinatorics use exact integers; capping the order keeps
-# every factorial below 2**63.
-MAX_ORDER = 8
+# every factorial below 2**63.  Chaos products obey the same cap.
+ORDER_CAP = 8
 
 
 def hermite_eval(k: int, x: float) -> float:
@@ -79,11 +79,6 @@ def _multiplicities(alpha: Index) -> dict[int, int]:
     return m
 
 
-def _tuple_count(alpha: Index) -> int:
-    """Number of tuples with the multiset alpha: r! / prod(mult!)."""
-    return perm_count(alpha)
-
-
 def _sub_multisets(alpha: Index, r: int) -> set[Index]:
     """Distinct sorted sub-multisets of size r (combinations deduplicated)."""
     return set(combinations(alpha, r))
@@ -94,6 +89,15 @@ def _multiset_diff(alpha: Index, sub: Index) -> Index:
     for v in sub:
         rest.remove(v)
     return tuple(rest)
+
+
+def _split_by_sub(f: SymmetricKernel, r: int) -> dict[Index, list[tuple[Index, float]]]:
+    """Group f's entries by each size-r sub-multiset A: A -> [(alpha - A, c)]."""
+    out: dict[Index, list[tuple[Index, float]]] = {}
+    for alpha, c in f.entries.items():
+        for sub in _sub_multisets(alpha, r):
+            out.setdefault(sub, []).append((_multiset_diff(alpha, sub), c))
+    return out
 
 
 @dataclass(frozen=True)
@@ -148,8 +152,8 @@ def make_kernel(order: int, dim: int,
 
     Tuples are sorted, duplicates merged by addition, exact zeros dropped.
     """
-    if order < 1 or order > MAX_ORDER:
-        raise ValueError(f"kernel order must be in 1..{MAX_ORDER}, got {order}")
+    if order < 1 or order > ORDER_CAP:
+        raise ValueError(f"kernel order must be in 1..{ORDER_CAP}, got {order}")
     if dim < 1:
         raise ValueError("dim must be >= 1")
     acc: dict[Index, float] = {}
@@ -169,16 +173,23 @@ def zero_kernel(order: int, dim: int) -> SymmetricKernel:
     return SymmetricKernel(order, dim, {})
 
 
+def _add_scaled(slot: dict[Index, float], ker: SymmetricKernel, w: float) -> None:
+    """slot += w * ker entrywise, dropping entries that cancel to exactly zero."""
+    if w == 0.0:
+        return
+    for idx, c in ker.entries.items():
+        s = slot.get(idx, 0.0) + w * c
+        if s == 0.0:
+            slot.pop(idx, None)
+        else:
+            slot[idx] = s
+
+
 def kernel_add(f: SymmetricKernel, g: SymmetricKernel) -> SymmetricKernel:
     if f.order != g.order or f.dim != g.dim:
         raise ValueError("kernel add requires matching order and dim")
     acc = dict(f.entries)
-    for idx, c in g.entries.items():
-        s = acc.get(idx, 0.0) + c
-        if s == 0.0:
-            acc.pop(idx, None)
-        else:
-            acc[idx] = s
+    _add_scaled(acc, g, 1.0)
     return SymmetricKernel(f.order, f.dim, acc)
 
 
@@ -188,8 +199,12 @@ def inner(f: SymmetricKernel, g: SymmetricKernel) -> float:
         raise ValueError(f"order mismatch: {f.order} vs {g.order}")
     if f.dim != g.dim:
         raise ValueError(f"dim mismatch: {f.dim} vs {g.dim}")
-    small, big = (f.entries, g.entries) if len(f.entries) <= len(g.entries) \
-        else (g.entries, f.entries)
+    small, big = f.entries, g.entries
+    # the smaller dict sets the summation order; equal sizes break the tie on
+    # the item lists, so inner(f, g) and inner(g, f) agree bit for bit
+    if len(big) < len(small) or (len(big) == len(small) and f is not g
+                                 and list(big.items()) < list(small.items())):
+        small, big = big, small
     total = 0.0
     for idx, c in small.items():
         d = big.get(idx)
@@ -212,21 +227,13 @@ def contract(f: SymmetricKernel, g: SymmetricKernel, r: int) -> BipartiteKernel:
     if not (0 <= r <= min(f.order, g.order)):
         raise ValueError(f"contraction order {r} outside 0..{min(f.order, g.order)}")
 
-    fmap: dict[Index, list[tuple[Index, float]]] = {}
-    for alpha, c in f.entries.items():
-        for sub in _sub_multisets(alpha, r):
-            fmap.setdefault(sub, []).append((_multiset_diff(alpha, sub), c))
-    gmap: dict[Index, list[tuple[Index, float]]] = {}
-    for beta, d in g.entries.items():
-        for sub in _sub_multisets(beta, r):
-            gmap.setdefault(sub, []).append((_multiset_diff(beta, sub), d))
-
+    fmap, gmap = _split_by_sub(f, r), _split_by_sub(g, r)
     out: dict[tuple[Index, Index], float] = {}
     for sub, flist in fmap.items():
         glist = gmap.get(sub)
         if glist is None:
             continue
-        w = _tuple_count(sub)
+        w = perm_count(sub)
         for xi, c in flist:
             for eta, d in glist:
                 key = (xi, eta)

@@ -203,3 +203,40 @@ class TestCli:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == ["m1=0", "m2=2"]
+
+
+class TestConfigExitCodes:
+    """Malformed configs are bad input: exit 2 naming the field, never 1."""
+
+    K2 = {"order": 2, "dim": 2, "entries": [{"idx": [1, 1], "coef": 0.5}]}
+    K1 = {"order": 1, "dim": 2, "entries": [{"idx": [1], "coef": 0.5}]}
+
+    @pytest.mark.parametrize("experiment, cfg, where", [
+        ("d12", {"alpha": 1.0, "members": [{"dim": 1}], "limit": "standard-gaussian"},
+         "config/members/0"),
+        ("d12", {"alpha": 1.0, "members": [5], "limit": "standard-gaussian"},
+         "config/members/0"),
+        ("cw", 5, "config"),
+        ("fourth-moment", {"indices": [{}]}, "config/indices/0"),
+        ("fourth-moment", {"indices": [True]}, "config/indices/0"),
+        ("dm", {"k": 2, "base": K2, "direction": K2, "scales": ["0.5"]},
+         "config/scales/0"),
+        ("d12", {"alpha": 1.0, "base": K2, "direction": K1, "scales": [0.5]},
+         "config/direction"),
+    ])
+    def test_exits_2_with_location(self, tmp_path, capsys, experiment, cfg, where):
+        if isinstance(cfg, dict):
+            cfg = {"seed": 1, "n_samples": 5000, **cfg}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["verify", experiment, "--config", str(cfg_path)]) == 2
+        assert f"error: {where}:" in capsys.readouterr().err
+
+    def test_d12_members_accept_standard_gaussian_limit(self, tmp_path):
+        member = tmp_path / "m.json"
+        io.save_chaos(basis_element(1, 1), str(member))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 1, "n_samples": 5000, "alpha": 1.0,
+                                        "members": [str(member)],
+                                        "limit": "standard-gaussian"}))
+        assert cli.main(["verify", "d12", "--config", str(cfg_path)]) in (0, 1)

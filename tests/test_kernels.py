@@ -95,6 +95,14 @@ class TestInner:
         g = make_kernel(2, 3, [((1, 1), 1.0)])
         assert inner(f, g) == 0.0
 
+    def test_equal_sizes_symmetric_bit_for_bit(self):
+        # equal entry counts, different insertion orders: the summation
+        # order must not depend on which argument comes first
+        f = make_kernel(2, 2, [((1, 1), 1.25), ((1, 2), 2.0), ((2, 2), 0.5)])
+        g = make_kernel(2, 2, [((1, 1), 1.1190815508522878),
+                               ((2, 2), 0.11908155085228778), ((1, 2), 1.0)])
+        assert inner(f, g) == inner(g, f)
+
     def test_mismatch_errors(self):
         f = make_kernel(2, 3, [((1, 2), 1.0)])
         with pytest.raises(ValueError, match="order"):
