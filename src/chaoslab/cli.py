@@ -38,6 +38,7 @@ class ConfigError(ValueError):
 
 
 _NUMBER = (int, float)
+_REQUIRED = object()
 
 
 def _check(val, kind, where: str):
@@ -47,18 +48,27 @@ def _check(val, kind, where: str):
     return val
 
 
-def _cfg(cfg: dict, key: str, kind=None, where: str = "config"):
+def _cfg(cfg: dict, key: str, kind=None, where: str = "config", default=_REQUIRED):
+    """The field key of cfg, checked to be a kind; default if it is absent
+    and a default is given."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where}: expected an object")
     if key not in cfg:
+        if default is not _REQUIRED:
+            return default
         raise ConfigError(f"{where}/{key}: missing required field")
     return _check(cfg[key], kind, f"{where}/{key}")
 
 
-def _cfg_list(cfg: dict, key: str, kind, where: str = "config") -> list:
+def _entries(vals, kind, where: str) -> list:
+    """vals, after checking that it is a list whose every entry is a kind."""
+    return [_check(v, kind, f"{where}/{i}") for i, v in enumerate(_check(vals, list, where))]
+
+
+def _cfg_list(cfg: dict, key: str, kind, where: str = "config",
+              default=_REQUIRED) -> list:
     """A list field whose every entry is a kind."""
-    return [_check(v, kind, f"{where}/{key}/{i}")
-            for i, v in enumerate(_cfg(cfg, key, list, where))]
+    return _entries(_cfg(cfg, key, None, where, default), kind, f"{where}/{key}")
 
 
 def _cfg_samples(cfg: dict, minimum: int = 1000) -> int:
@@ -107,7 +117,7 @@ def _limit_from_config(cfg: dict) -> ChaosElement:
 def _run_verify(name: str, cfg: dict, workers: int) -> ExperimentReport:
     seed = _cfg(cfg, "seed", int)
     if name == "fourth-moment":
-        return fourth_moment_certificate(int(cfg.get("k", 2)),
+        return fourth_moment_certificate(_cfg(cfg, "k", int, default=2),
                                          _spec_from_config(cfg, "pair-sum"),
                                          _cfg_samples(cfg), seed, workers=workers)
     if name == "shigekawa":
@@ -129,13 +139,15 @@ def _run_verify(name: str, cfg: dict, workers: int) -> ExperimentReport:
                                    [float(v) for v in _cfg_list(cfg, "lambdas", _NUMBER)],
                                    _cfg_samples(cfg, 10_000), seed, workers=workers)
     if name == "pt":
-        cov = np.asarray(cfg.get("covariance", [[1.0, 0.0], [0.0, 1.0]]), dtype=float)
+        rows = _cfg_list(cfg, "covariance", list, default=[[1.0, 0.0], [0.0, 1.0]])
+        cov = np.asarray([_entries(row, _NUMBER, f"config/covariance/{i}")
+                          for i, row in enumerate(rows)], dtype=float)
         vectors = [(float(n), pair_sum_vector(n)) for n in _cfg_list(cfg, "indices", int)]
         return peccati_tudor_run([1, 2], vectors, cov, _cfg_samples(cfg, 10_000),
                                  seed, workers=workers)
     if name == "moo":
         specs = _moo_specs(cfg)
-        return moo_invariance(specs, _cfg_samples(cfg), seed)
+        return moo_invariance(specs, _cfg_samples(cfg), seed, workers=workers)
     if name == "d12":
         alpha = float(_cfg(cfg, "alpha", _NUMBER))
         if "base" in cfg:
@@ -162,8 +174,8 @@ def _moo_specs(cfg: dict) -> list[MultilinearSpec]:
             coeffs[subset] = float(_cfg(ent, "c", _NUMBER, f"{where}/coeffs/{j}"))
         specs.append(MultilinearSpec(
             coeffs, law=raw.get("law", "rademacher"),
-            law_values=tuple(raw.get("values", ())),
-            law_probs=tuple(raw.get("probs", ()))))
+            law_values=tuple(_cfg_list(raw, "values", _NUMBER, where, default=[])),
+            law_probs=tuple(_cfg_list(raw, "probs", _NUMBER, where, default=[]))))
     return specs
 
 
@@ -198,12 +210,22 @@ def _write_rows_csv(rep: ExperimentReport, path: str) -> None:
     io.write_atomic(path, write, newline="")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        val = int(text)
+    except ValueError:
+        val = 0
+    if val < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return val
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chaoslab",
         description="Wiener chaos laboratory: exact moments, Malliavin "
                     "operators, and Monte Carlo distance experiments.")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_positive_int, default=1,
                         help="worker threads for sampling; never changes values")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -15,7 +15,10 @@ discretization can cost at most 2/(levels-1).
 Every estimator is a pure function of (inputs, seed): bootstrap
 resampling happens on histogram counts (multinomially), which is
 distribution-identical to resampling the underlying observations for
-these statistics, and much cheaper.
+these statistics, and much cheaper.  The replicates are drawn one after
+another, then stacked under the observed counts and evaluated as one
+array, so each statistic runs once per call (row 0 is the point
+estimate) and the chain DP sweeps all replicates together.
 """
 
 from __future__ import annotations
@@ -84,14 +87,19 @@ def _bootstrap(stat, samples: list[tuple[np.ndarray, int]], n_boot: int,
 
     samples holds one (counts, n) pair per argument of stat; each replicate
     redraws every argument's counts, in argument order, from one generator
-    seeded by (seed, label).  A cap clamps the value and both CI ends.
+    seeded by (seed, label).  The draws are made replicate by replicate,
+    then each argument's rows (observed counts first) are stacked into one
+    (n_boot + 1, cells) array and stat is called once on them; it returns
+    one value per row.  A cap clamps the value and both CI ends.
     """
-    point = stat(*(c for c, _ in samples))
     gen = np.random.default_rng(rng.derive(seed, label))
     probs = [(n, c / n) for c, n in samples]
-    boots = np.array([stat(*[gen.multinomial(n, p) for n, p in probs])
-                      for _ in range(n_boot)])
-    est = _finish(point, boots, method, tuple(n for _, n in samples))
+    rows = [[c] for c, _ in samples]
+    for _ in range(n_boot):
+        for arg, (n, p) in zip(rows, probs):
+            arg.append(gen.multinomial(n, p))
+    vals = stat(*map(np.stack, rows))
+    est = _finish(vals[0], vals[1:], method, tuple(n for _, n in samples))
     if cap is None:
         return est
     return DistanceEstimate(min(est.value, cap), min(est.ci_low, cap),
@@ -141,9 +149,9 @@ def tv_vs_density(batch, mean: float = 0.0, var: float = 1.0,
     target = normal_pdf(centers, mean, var)
     tail = float(normal_cdf(lo, mean, var) + (1.0 - normal_cdf(hi, mean, var)))
 
-    def stat(c: np.ndarray) -> float:
-        dens = np.convolve(c, kernel, mode="same") / (n * dx)
-        return 0.5 * (float(np.trapezoid(np.abs(dens - target), dx=dx)) + tail)
+    def stat(c: np.ndarray) -> np.ndarray:
+        dens = np.array([np.convolve(r, kernel, mode="same") for r in c]) / (n * dx)
+        return 0.5 * (np.trapezoid(np.abs(dens - target), dx=dx, axis=1) + tail)
 
     return _bootstrap(stat, [(counts, n)], n_boot, seed, 0x7D1, "tv-kde", cap=1.0)
 
@@ -169,8 +177,8 @@ def tv_two_samples(s1, s2, bins: int | None = None, n_boot: int = 200,
     c1 = np.histogram(x1, edges)[0]
     c2 = np.histogram(x2, edges)[0]
 
-    def stat(a, b) -> float:
-        return 0.5 * float(np.abs(a / n1 - b / n2).sum())
+    def stat(a, b) -> np.ndarray:
+        return 0.5 * np.abs(a / n1 - b / n2).sum(axis=1)
 
     return _bootstrap(stat, [(c1, n1), (c2, n2)], n_boot, seed, 0x7D2, "tv-hist")
 
@@ -211,9 +219,9 @@ def tv_multivariate(batch, cov, grid_cells: int = 40, n_boot: int = 200,
     counts = np.histogram2d(x[:, 0], x[:, 1], bins=(edges, edges))[0].ravel()
     cells = np.append(counts, n - counts.sum())  # last slot = escaped mass
 
-    def stat(c: np.ndarray) -> float:
-        emp = c[:-1] / n
-        return 0.5 * (float(np.abs(emp - gmass).sum()) + c[-1] / n + gout)
+    def stat(c: np.ndarray) -> np.ndarray:
+        emp = c[:, :-1] / n
+        return 0.5 * (np.abs(emp - gmass).sum(axis=1) + c[:, -1] / n + gout)
 
     return _bootstrap(stat, [(cells, n)], n_boot, seed, 0x7D3, "tv-grid2d", cap=1.0)
 
@@ -241,17 +249,19 @@ def _fm_lattice(dx: float, levels: int, cells: int) -> tuple[np.ndarray, int | N
     return -1.0 + step * np.arange(count), m
 
 
-def _fm_stat(diff: np.ndarray, lv: np.ndarray, window: int | None) -> float:
-    """Chain-constrained maximization of sum phi_j diff_j by DP over levels."""
-    best = lv * diff[0]
+def _fm_stat(diff: np.ndarray, lv: np.ndarray, window: int | None) -> np.ndarray:
+    """Chain-constrained maximization of sum phi_j diff_j by DP over levels,
+    for every row of diff at once (one value per row)."""
+    best = lv * diff[:, :1]
     if window is None or window >= lv.size - 1:
-        for d in diff[1:]:
-            best = lv * d + best.max()
+        for j in range(1, diff.shape[1]):
+            best = lv * diff[:, j:j + 1] + best.max(axis=1, keepdims=True)
     else:
         size = 2 * window + 1
-        for d in diff[1:]:
-            best = lv * d + maximum_filter1d(best, size=size, mode="nearest")
-    return float(best.max())
+        for j in range(1, diff.shape[1]):
+            best = lv * diff[:, j:j + 1] + maximum_filter1d(best, size=size, axis=1,
+                                                            mode="nearest")
+    return best.max(axis=1)
 
 
 def fm_two_samples(s1, s2, cells: int = 512, levels: int = 201,
@@ -277,7 +287,7 @@ def fm_two_samples(s1, s2, cells: int = 512, levels: int = 201,
     c1 = np.histogram(x1, edges)[0]
     c2 = np.histogram(x2, edges)[0]
 
-    def stat(a, b) -> float:
+    def stat(a, b) -> np.ndarray:
         return _fm_stat(a / n1 - b / n2, lv, window)
 
     return _bootstrap(stat, [(c1, n1), (c2, n2)], n_boot, seed, 0x7D4, "fm-dp")

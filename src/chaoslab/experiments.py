@@ -233,10 +233,11 @@ def multilinear_to_chaos(spec: MultilinearSpec) -> ChaosElement:
     return ChaosElement(dim, const, kernels)
 
 
-def sample_multilinear(spec: MultilinearSpec, n_samples: int, seed: int) -> SampleBatch:
+def sample_multilinear(spec: MultilinearSpec, n_samples: int, seed: int,
+                       workers: int = 1) -> SampleBatch:
     dim = spec.dim
     if spec.law == "gaussian":
-        x = gaussian_matrix(dim, n_samples, seed)
+        x = gaussian_matrix(dim, n_samples, seed, workers=workers)
     elif spec.law == "rademacher":
         x = rng.rademacher(seed, 0, n_samples * dim).reshape(n_samples, dim)
     else:
@@ -551,7 +552,7 @@ def _peccati_tudor_verdict(rows: Sequence[dict], gamma_target: float,
 
 @_timed
 def moo_invariance(specs: Sequence[MultilinearSpec], n_samples: int, seed: int,
-                   fm_gate: float = 0.05) -> ExperimentReport:
+                   fm_gate: float = 0.05, workers: int = 1) -> ExperimentReport:
     """Invariance principle for multilinear polynomials with low influences.
 
     For each spec the polynomial is sampled under its declared law and
@@ -563,9 +564,10 @@ def moo_invariance(specs: Sequence[MultilinearSpec], n_samples: int, seed: int,
     """
     rows = []
     for pos, spec in enumerate(specs):
-        xs = sample_multilinear(spec, n_samples, rng.derive(seed, 2 * pos))
+        xs = sample_multilinear(spec, n_samples, rng.derive(seed, 2 * pos), workers=workers)
         gauss = MultilinearSpec(spec.coeffs, law="gaussian")
-        gs = sample_multilinear(gauss, n_samples, rng.derive(seed, 2 * pos + 1))
+        gs = sample_multilinear(gauss, n_samples, rng.derive(seed, 2 * pos + 1),
+                                workers=workers)
         fm = fm_two_samples(xs, gs, seed=rng.derive(seed, 1000 + pos))
         rows.append({"dim": spec.dim, "degree": spec.degree,
                      "max_influence": spec.max_influence(),

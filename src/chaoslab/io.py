@@ -5,16 +5,19 @@ Chaos files:    {"dim": n, "constant": c, "kernels": [kernel objects]}
 Reports:        {"experiment": ..., "seed": ..., "rows": [...], "verdict": ..., "notes": [...]}
 Estimates:      {"method": ..., "value": ..., "ci": [lo, hi], "n": [...]}
 
-The idx arrays must be sorted ascending; the parser rejects unsorted
-input and reports the offending location JSON-pointer style.  Writes go
-through a temp file and an atomic rename, and serialization sorts keys,
-so identical runs produce byte-identical files.
+The idx arrays must be sorted ascending; order, dim and idx labels must
+be integers, and coef and constant finite numbers (a bool is neither).
+The parser rejects other input and reports the offending location
+JSON-pointer style.  Writes go through a temp file and an atomic rename,
+and serialization sorts keys, so identical runs produce byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 
@@ -35,6 +38,25 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _integer(val, where: str) -> int:
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise SchemaError(f"{where}: expected an integer")
+    return val
+
+
+def _finite(val, where: str) -> float:
+    """val as a float, after checking that it is a finite number."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise SchemaError(f"{where}: expected a number")
+    try:
+        out = float(val)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise SchemaError(f"{where}: expected a finite number, got {val!r}")
+    return out
+
+
 def kernel_to_dict(ker: SymmetricKernel) -> dict:
     entries = [{"idx": list(idx), "coef": c}
                for idx, c in sorted(ker.entries.items())]
@@ -44,8 +66,8 @@ def kernel_to_dict(ker: SymmetricKernel) -> dict:
 def kernel_from_dict(obj: dict, where: str = "/kernel") -> SymmetricKernel:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
-    order = _require(obj, "order", where)
-    dim = _require(obj, "dim", where)
+    order = _integer(_require(obj, "order", where), f"{where}/order")
+    dim = _integer(_require(obj, "dim", where), f"{where}/dim")
     entries = _require(obj, "entries", where)
     if not isinstance(entries, list):
         raise SchemaError(f"{where}/entries: expected a list")
@@ -56,13 +78,14 @@ def kernel_from_dict(obj: dict, where: str = "/kernel") -> SymmetricKernel:
             raise SchemaError(f"{loc}: expected an object")
         idx = _require(ent, "idx", loc)
         coef = _require(ent, "coef", loc)
-        if not isinstance(idx, list) or not all(isinstance(v, int) for v in idx):
+        if not isinstance(idx, list) or any(isinstance(v, bool) or not isinstance(v, int)
+                                            for v in idx):
             raise SchemaError(f"{loc}/idx: expected a list of integers")
         if any(b < a for a, b in zip(idx, idx[1:])):
             raise SchemaError(f"{loc}/idx: must be sorted ascending, got {idx}")
-        raw.append((tuple(idx), float(coef)))
+        raw.append((tuple(idx), _finite(coef, f"{loc}/coef")))
     try:
-        return make_kernel(int(order), int(dim), raw)
+        return make_kernel(order, dim, raw)
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
@@ -75,10 +98,13 @@ def chaos_to_dict(fel: ChaosElement) -> dict:
 def chaos_from_dict(obj: dict, where: str = "/chaos") -> ChaosElement:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
-    dim = int(_require(obj, "dim", where))
-    constant = float(obj.get("constant", 0.0))
+    dim = _integer(_require(obj, "dim", where), f"{where}/dim")
+    constant = _finite(obj.get("constant", 0.0), f"{where}/constant")
+    kobjs = obj.get("kernels", [])
+    if not isinstance(kobjs, list):
+        raise SchemaError(f"{where}/kernels: expected a list")
     kernels = {}
-    for i, kobj in enumerate(obj.get("kernels", [])):
+    for i, kobj in enumerate(kobjs):
         ker = kernel_from_dict(kobj, f"{where}/kernels/{i}")
         if ker.dim != dim:
             raise SchemaError(f"{where}/kernels/{i}/dim: {ker.dim} != element dim {dim}")

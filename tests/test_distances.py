@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import maximum_filter1d
 
 from chaoslab import (DegenerateSampleError, fm_two_samples, small_ball,
                       tv_multivariate, tv_two_samples, tv_vs_density,
                       wasserstein1)
 from chaoslab import rng
-from chaoslab.distances import normal_cdf
+from chaoslab.distances import _fm_lattice, normal_cdf, normal_pdf
 
 TV_SHIFT3 = 2.0 * normal_cdf(1.5) - 1.0  # TV of unit normals 3 apart
 
@@ -256,3 +257,144 @@ class TestEstimateContract:
             y = gauss(trial + 180, 2000, mean=float(gen.uniform(-4, 4)))
             est = tv_two_samples(x, y, n_boot=4, seed=1)
             assert 0.0 <= est.value <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-replicate bootstrap loop and 1-D statistics that the
+# one-array bootstrap replaced; the estimators must match it bit for bit
+
+def _loop_estimate(stat, samples, n_boot, seed, label, cap=None):
+    point = stat(*(c for c, _ in samples))
+    gen = np.random.default_rng(rng.derive(seed, label))
+    probs = [(n, c / n) for c, n in samples]
+    boots = np.array([stat(*[gen.multinomial(n, p) for n, p in probs])
+                      for _ in range(n_boot)])
+    lo, hi = np.percentile(boots, [2.5, 97.5]) if boots.size else (point, point)
+    out = (float(point), float(min(lo, point)), float(max(hi, point)))
+    return out if cap is None else tuple(min(v, cap) for v in out)
+
+
+def _loop_fm_stat(diff, lv, window):
+    best = lv * diff[0]
+    if window is None or window >= lv.size - 1:
+        for d in diff[1:]:
+            best = lv * d + best.max()
+    else:
+        for d in diff[1:]:
+            best = lv * d + maximum_filter1d(best, size=2 * window + 1, mode="nearest")
+    return float(best.max())
+
+
+def _common_histograms(x1, x2, cells):
+    edges = np.linspace(min(x1.min(), x2.min()), max(x1.max(), x2.max()), cells + 1)
+    return edges, np.histogram(x1, edges)[0], np.histogram(x2, edges)[0]
+
+
+def _loop_fm(x1, x2, cells, levels, n_boot, seed):
+    n1, n2 = x1.size, x2.size
+    edges, c1, c2 = _common_histograms(x1, x2, cells)
+    lv, window = _fm_lattice(edges[1] - edges[0], levels, cells)
+    return window, lv.size, _loop_estimate(
+        lambda a, b: _loop_fm_stat(a / n1 - b / n2, lv, window),
+        [(c1, n1), (c2, n2)], n_boot, seed, 0x7D4)
+
+
+def _loop_tv_two_samples(x1, x2, n_boot, seed):
+    n1, n2 = x1.size, x2.size
+    _, c1, c2 = _common_histograms(x1, x2, max(20, int(min(n1, n2) ** (1.0 / 3.0))))
+    return _loop_estimate(lambda a, b: 0.5 * float(np.abs(a / n1 - b / n2).sum()),
+                          [(c1, n1), (c2, n2)], n_boot, seed, 0x7D2)
+
+
+def _loop_tv_vs_density(x, n_boot, seed, grid_points=2048):
+    n = x.size
+    h = 1.06 * float(np.std(x, ddof=1)) * n ** (-0.2)
+    lo, hi = float(x.min()) - 4.0 * h, float(x.max()) + 4.0 * h
+    edges = np.linspace(lo, hi, grid_points + 1)
+    dx = edges[1] - edges[0]
+    radius = min(int(math.ceil(5.0 * h / dx)), grid_points // 2 - 1)
+    kernel = np.exp(-(np.arange(-radius, radius + 1) * dx) ** 2 / (2.0 * h * h))
+    kernel /= kernel.sum()
+    target = normal_pdf(0.5 * (edges[:-1] + edges[1:]))
+    tail = float(normal_cdf(lo) + (1.0 - normal_cdf(hi)))
+
+    def stat(c):
+        dens = np.convolve(c, kernel, mode="same") / (n * dx)
+        return 0.5 * (float(np.trapezoid(np.abs(dens - target), dx=dx)) + tail)
+
+    return _loop_estimate(stat, [(np.histogram(x, edges)[0], n)], n_boot, seed,
+                          0x7D1, cap=1.0)
+
+
+def _loop_tv_multivariate(xy, cov, n_boot, seed, grid_cells=40):
+    n = xy.shape[0]
+    half = 4.0 * math.sqrt(float(cov.diagonal().max()))
+    edges = np.linspace(-half, half, grid_cells + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    cinv = np.linalg.inv(cov)
+    cx, cy = np.meshgrid(centers, centers, indexing="ij")
+    quad = cinv[0, 0] * cx ** 2 + 2.0 * cinv[0, 1] * cx * cy + cinv[1, 1] * cy ** 2
+    gauss = np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(np.linalg.det(cov)))
+    gmass = gauss.ravel() * (edges[1] - edges[0]) ** 2
+    gout = max(0.0, 1.0 - float(gmass.sum()))
+    counts = np.histogram2d(xy[:, 0], xy[:, 1], bins=(edges, edges))[0].ravel()
+
+    def stat(c):
+        return 0.5 * (float(np.abs(c[:-1] / n - gmass).sum()) + c[-1] / n + gout)
+
+    return _loop_estimate(stat, [(np.append(counts, n - counts.sum()), n)],
+                          n_boot, seed, 0x7D3, cap=1.0)
+
+
+def _triple(est):
+    return est.value, est.ci_low, est.ci_high
+
+
+class TestBootstrapMatchesReplicateLoop:
+    """Evaluating all replicates as one array draws and computes exactly
+    what the per-replicate loop did: equal bits, not approximate ones."""
+
+    @pytest.mark.parametrize("n_boot", [0, 25])
+    def test_fm_windowed_lattice(self, n_boot):
+        x, y = gauss(201, 5000), gauss(202, 5000, mean=0.4, sd=1.3)
+        window, size, ref = _loop_fm(x, y, 512, 201, n_boot, 7)
+        assert window is not None and window < size - 1
+        assert _triple(fm_two_samples(x, y, n_boot=n_boot, seed=7)) == ref
+
+    @pytest.mark.parametrize("n_boot", [0, 25])
+    def test_fm_window_spans_lattice(self, n_boot):
+        # pooled range 7.6 over 4 cells: dx = 1.9, so the window reaches
+        # across the whole 11-level lattice
+        x = 7.6 * rng.uniforms(203, 0, 4000)
+        x[:2] = 0.0, 7.6
+        y = 7.6 * rng.uniforms(204, 0, 4000) ** 2
+        window, size, ref = _loop_fm(x, y, 4, 11, n_boot, 7)
+        assert window is not None and window >= size - 1
+        assert _triple(fm_two_samples(x, y, cells=4, levels=11,
+                                      n_boot=n_boot, seed=7)) == ref
+
+    @pytest.mark.parametrize("n_boot", [0, 25])
+    def test_fm_void_chain_constraint(self, n_boot):
+        x, y = gauss(205, 4000, sd=3.0), gauss(206, 4000, mean=1.0, sd=3.0)
+        window, _, ref = _loop_fm(x, y, 2, 201, n_boot, 7)
+        assert window is None
+        assert _triple(fm_two_samples(x, y, cells=2, n_boot=n_boot, seed=7)) == ref
+
+    @pytest.mark.parametrize("n_boot", [0, 25])
+    def test_tv_two_samples(self, n_boot):
+        x, y = gauss(207, 8000), gauss(208, 8000, mean=0.3)
+        assert _triple(tv_two_samples(x, y, n_boot=n_boot, seed=7)) == \
+            _loop_tv_two_samples(x, y, n_boot, 7)
+
+    @pytest.mark.parametrize("n_boot", [0, 25])
+    def test_tv_vs_density(self, n_boot):
+        x = gauss(209, 4000, mean=0.3)
+        assert _triple(tv_vs_density(x, 0.0, 1.0, n_boot=n_boot, seed=7)) == \
+            _loop_tv_vs_density(x, n_boot, 7)
+
+    @pytest.mark.parametrize("n_boot", [0, 25])
+    def test_tv_multivariate(self, n_boot):
+        cov = np.array([[1.0, 0.3], [0.3, 1.2]])
+        xy = rng.gaussians(210, 0, 2 * 12_000).reshape(-1, 2) * 1.2
+        assert _triple(tv_multivariate(xy, cov, n_boot=n_boot, seed=7)) == \
+            _loop_tv_multivariate(xy, cov, n_boot, 7)

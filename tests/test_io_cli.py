@@ -41,6 +41,26 @@ class TestKernelFiles:
             io.kernel_from_dict({"order": 1, "dim": 2,
                                  "entries": [{"idx": [5], "coef": 1.0}]})
 
+    @pytest.mark.parametrize("field, value, where", [
+        ("coef", float("nan"), "/kernel/entries/0/coef"),
+        ("coef", float("inf"), "/kernel/entries/0/coef"),
+        pytest.param("coef", 10 ** 400, "/kernel/entries/0/coef", id="coef-huge-int"),
+        ("coef", True, "/kernel/entries/0/coef"),
+        ("coef", "0.5", "/kernel/entries/0/coef"),
+        ("idx", [True, True], "/kernel/entries/0/idx"),
+        ("order", 2.0, "/kernel/order"),
+        ("dim", 2.7, "/kernel/dim"),
+        ("dim", "2", "/kernel/dim"),
+    ])
+    def test_mistyped_numbers_rejected_with_location(self, field, value, where):
+        obj = {"order": 2, "dim": 2, "entries": [{"idx": [1, 1], "coef": 0.5}]}
+        if field in obj:
+            obj[field] = value
+        else:
+            obj["entries"][0][field] = value
+        with pytest.raises(io.SchemaError, match=f"^{where}: expected"):
+            io.kernel_from_dict(obj)
+
     def test_entries_sorted_on_write(self, tmp_path):
         ker = make_kernel(2, 3, [((2, 3), 1.0), ((1, 1), 2.0)])
         d = io.kernel_to_dict(ker)
@@ -65,6 +85,19 @@ class TestChaosFiles:
         k = {"order": 2, "dim": 1, "entries": [{"idx": [1, 1], "coef": 1.0}]}
         with pytest.raises(io.SchemaError, match="duplicate"):
             io.chaos_from_dict({"dim": 1, "constant": 0.0, "kernels": [k, k]})
+
+    @pytest.mark.parametrize("change, where", [
+        ({"constant": float("nan")}, "/chaos/constant"),
+        ({"constant": False}, "/chaos/constant"),
+        ({"dim": 1.5}, "/chaos/dim"),
+        ({"kernels": 5}, "/chaos/kernels"),
+        ({"kernels": [{**H2_DICT["kernels"][0], "entries": [
+            {"idx": [1, 1], "coef": 1.0}, {"idx": [1, 1], "coef": float("-inf")}]}]},
+         "/chaos/kernels/0/entries/1/coef"),
+    ])
+    def test_mistyped_numbers_rejected_with_location(self, change, where):
+        with pytest.raises(io.SchemaError, match=f"^{where}: expected"):
+            io.chaos_from_dict({**H2_DICT, **change})
 
     def test_kernel_dim_must_match(self):
         k = {"order": 2, "dim": 2, "entries": [{"idx": [1, 1], "coef": 1.0}]}
@@ -126,6 +159,20 @@ class TestCli:
         code = cli.main(["eval", "--chaos", chaos_file, "--point", "1.5,2.0"])
         assert code == 2
         assert "coordinates" in capsys.readouterr().err
+
+    def test_nan_coefficient_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({**H2_DICT, "kernels": [
+            {"order": 2, "dim": 1, "entries": [{"idx": [1, 1], "coef": float("nan")}]}]}))
+        assert cli.main(["moments", "--chaos", str(path)]) == 2
+        assert "error: /kernels/0/entries/0/coef: expected a finite number" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-1", "two"])
+    def test_threads_must_be_positive(self, chaos_file, threads, capsys):
+        assert cli.main(["--threads", threads, "eval", "--chaos", chaos_file,
+                         "--point", "1.5"]) == 2
+        assert "--threads: expected a positive integer" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, capsys):
         assert cli.main(["eval", "--chaos", "/nonexistent.json", "--point", "1"]) == 2
@@ -197,6 +244,25 @@ class TestCli:
         # a single spec family cannot fail the monotone check; gate is generous
         assert cli.main(["verify", "moo", "--config", str(cfg_path)]) in (0, 1)
 
+    def test_verify_moo_threads_reach_sampling(self, tmp_path, monkeypatch):
+        import chaoslab.experiments as experiments
+        real, seen = experiments.gaussian_matrix, []
+
+        def spy(*args, workers=1, **kwargs):
+            seen.append(workers)
+            return real(*args, workers=workers, **kwargs)
+
+        monkeypatch.setattr(experiments, "gaussian_matrix", spy)
+        # more than one 2^16-row chunk, so two workers really split the draw
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 4, "n_samples": 70_000, "sizes": [3]}))
+        outs = [str(tmp_path / f"{t}.json") for t in (1, 2)]
+        for threads, out in zip((1, 2), outs):
+            assert cli.main(["--threads", str(threads), "verify", "moo",
+                             "--config", str(cfg_path), "--out", out]) in (0, 1)
+        assert seen == [1, 2]
+        assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+
     def test_console_script_smoke(self, chaos_file):
         proc = subprocess.run([sys.executable, "-m", "chaoslab.cli", "moments",
                                "--chaos", chaos_file, "--max", "2"],
@@ -229,6 +295,24 @@ class TestConfigExitCodes:
             cfg = {"seed": 1, "n_samples": 5000, **cfg}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["verify", experiment, "--config", str(cfg_path)]) == 2
+        assert f"error: {where}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, cfg, where", [
+        ("fourth-moment", {"indices": [6], "k": {}}, "config/k"),
+        ("pt", {"indices": [4], "covariance": [[{}]]}, "config/covariance/0/0"),
+        ("pt", {"indices": [4], "covariance": [5]}, "config/covariance/0"),
+        ("moo", {"specs": [{"coeffs": [{"subset": [1], "c": 1.0}],
+                            "law": "discrete", "values": 5}]},
+         "config/specs/0/values"),
+        ("moo", {"specs": [{"coeffs": [{"subset": [1], "c": 1.0}], "law": "discrete",
+                            "values": [-1.0, 1.0], "probs": [0.5, None]}]},
+         "config/specs/0/probs/1"),
+    ])
+    def test_optional_fields_exit_2_with_location(self, tmp_path, capsys,
+                                                 experiment, cfg, where):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 1, "n_samples": 10_000, **cfg}))
         assert cli.main(["verify", experiment, "--config", str(cfg_path)]) == 2
         assert f"error: {where}:" in capsys.readouterr().err
 
