@@ -26,7 +26,8 @@ from .kernels import (ORDER_CAP, Index, SymmetricKernel, _add_scaled,
                       hermite_table, inner, perm_count, slice_label,
                       sym_contract, zero_kernel)
 
-_SAMPLE_CHUNK = 1 << 16
+_SAMPLE_CHUNK = 1 << 16  # Gaussians per rng call
+_SAMPLE_BLOCK = 1 << 20  # input coordinates drawn and evaluated together
 
 
 class OrderCapError(ValueError):
@@ -44,6 +45,8 @@ class ChaosElement:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        if not math.isfinite(self.constant):
+            raise ValueError(f"constant must be finite, got {self.constant}")
         clean = {}
         for k, f in self.kernels.items():
             if f.order != k:
@@ -290,41 +293,83 @@ def evaluate(fel: ChaosElement, x: Sequence[float]) -> float:
     return float(evaluate_batch(fel, x[None, :])[0])
 
 
-def gaussian_matrix(dim: int, n_samples: int, seed: int, start: int = 0,
-                    workers: int = 1) -> np.ndarray:
-    """Rows are iid N(0, I_dim); row i depends only on (seed, i)."""
-    out = np.empty((n_samples, dim))
-    spans = [(i, min(i + _SAMPLE_CHUNK, n_samples)) for i in range(0, n_samples, _SAMPLE_CHUNK)]
-
-    def fill(span):
-        lo, hi = span
-        out[lo:hi] = rng.gaussians(seed, (start + lo) * dim,
-                                   (hi - lo) * dim).reshape(hi - lo, dim)
-
+def _each(fill, spans, workers: int) -> None:
+    """fill(span) for every span, on a pool of workers threads when there
+    are several spans and workers > 1."""
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, spans))
     else:
         for span in spans:
             fill(span)
+
+
+def gaussian_matrix(dim: int, n_samples: int, seed: int, start: int = 0,
+                    workers: int = 1) -> np.ndarray:
+    """Rows are iid N(0, I_dim); row i depends only on (seed, start + i).
+
+    Entry (i, c) is Gaussian counter (start + i) * dim + c.  The output is
+    filled as one flat array in pieces of _SAMPLE_CHUNK Gaussians, small
+    enough for the generator's temporaries to stay in cache; workers > 1
+    spreads the pieces over threads.  Neither can change a value.
+    """
+    out = np.empty((n_samples, dim))
+    flat = out.reshape(-1)
+    first = start * dim
+    spans = [(lo, min(lo + _SAMPLE_CHUNK, flat.size))
+             for lo in range(0, flat.size, _SAMPLE_CHUNK)]
+
+    def fill(span):
+        lo, hi = span
+        flat[lo:hi] = rng.gaussians(seed, first + lo, hi - lo)
+
+    _each(fill, spans, workers)
     return out
+
+
+def _stream_rows(n_samples: int, dim: int, block, workers: int) -> None:
+    """Call block(lo, hi, workers) on consecutive row ranges that cover
+    0..n_samples, each of about _SAMPLE_BLOCK input elements.
+
+    A block draws rows lo..hi-1 at their own counters and evaluates them
+    into the caller's output, so the full (n_samples, dim) input never
+    exists.  One block gets all the workers for its draw; several blocks
+    share one pool of workers threads and draw with one thread each.
+    """
+    rows = max(1, _SAMPLE_BLOCK // dim)
+    spans = [(lo, min(lo + rows, n_samples)) for lo in range(0, n_samples, rows)]
+    if len(spans) == 1:
+        block(*spans[0], workers)
+    else:
+        _each(lambda span: block(*span, 1), spans, workers)
 
 
 def sample(target: ChaosElement | ChaosVector, n_samples: int, seed: int,
            workers: int = 1) -> SampleBatch:
     """Draw n_samples evaluations under iid standard Gaussian coordinates.
 
-    Deterministic per (seed, n_samples); the worker count only partitions
-    the counter stream and cannot change any value.
+    Sample i is the target at row i of gaussian_matrix(dim, n_samples, seed).
+    The rows are drawn and evaluated in blocks of about _SAMPLE_BLOCK
+    coordinates, so peak memory is bounded by a block rather than by
+    n_samples * dim.  Deterministic per (seed, n_samples): blocks and the
+    worker count only partition the counter stream and cannot change any
+    value.
     """
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
-    if isinstance(target, ChaosVector):
-        x = gaussian_matrix(target.dim, n_samples, seed, workers=workers)
-        vals = np.column_stack([evaluate_batch(c, x) for c in target.components])
-        return SampleBatch(vals, seed, f"gauss-bm:dim={target.dim}:d={len(target)}")
-    x = gaussian_matrix(target.dim, n_samples, seed, workers=workers)
-    return SampleBatch(evaluate_batch(target, x), seed, f"gauss-bm:dim={target.dim}")
+    vector = isinstance(target, ChaosVector)
+    parts = target.components if vector else (target,)
+    out = np.empty((n_samples, len(parts)))
+
+    def block(lo: int, hi: int, workers: int) -> None:
+        x = gaussian_matrix(target.dim, hi - lo, seed, start=lo, workers=workers)
+        for j, fel in enumerate(parts):
+            out[lo:hi, j] = evaluate_batch(fel, x)
+
+    _stream_rows(n_samples, target.dim, block, workers)
+    if vector:
+        return SampleBatch(out, seed, f"gauss-bm:dim={target.dim}:d={len(target)}")
+    return SampleBatch(out[:, 0], seed, f"gauss-bm:dim={target.dim}")
 
 
 def mderiv(fel: ChaosElement, i: int) -> ChaosElement:

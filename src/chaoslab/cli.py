@@ -42,9 +42,12 @@ _REQUIRED = object()
 
 
 def _check(val, kind, where: str):
-    """val, after checking that it is a kind; a bool is never a number."""
+    """val, after checking that it is a kind; a bool is never a number, and
+    a number is finite (json reads NaN, Infinity and 1e400 as non-finite)."""
     if kind is not None and (isinstance(val, bool) or not isinstance(val, kind)):
         raise ConfigError(f"{where}: expected {getattr(kind, '__name__', 'a number')}")
+    if kind is _NUMBER and not abs(val) <= sys.float_info.max:  # also an int past it
+        raise ConfigError(f"{where}: expected a finite number, got {val!r}")
     return val
 
 

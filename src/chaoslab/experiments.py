@@ -26,7 +26,7 @@ import numpy as np
 
 from . import rng
 from .chaos import (ChaosElement, ChaosVector, OrderCapError, SampleBatch,
-                    basis_element, carre_du_champ, check_ibp,
+                    _stream_rows, basis_element, carre_du_champ, check_ibp,
                     constant_element, covariance, det_chaos, evaluate_batch,
                     expectation, expectation_of_product, gaussian_matrix,
                     linear_combine, malliavin_matrix, mderiv, moment,
@@ -235,15 +235,28 @@ def multilinear_to_chaos(spec: MultilinearSpec) -> ChaosElement:
 
 def sample_multilinear(spec: MultilinearSpec, n_samples: int, seed: int,
                        workers: int = 1) -> SampleBatch:
+    """Draw n_samples evaluations of spec under iid inputs from its law.
+
+    Coordinate c of sample i is draw (seed, i * dim + c) of the law's
+    generator.  The rows are drawn and evaluated in blocks of about
+    2^20 coordinates, so the full (n_samples, dim) input never exists;
+    blocks and the worker count cannot change a value.
+    """
     dim = spec.dim
-    if spec.law == "gaussian":
-        x = gaussian_matrix(dim, n_samples, seed, workers=workers)
-    elif spec.law == "rademacher":
-        x = rng.rademacher(seed, 0, n_samples * dim).reshape(n_samples, dim)
-    else:
-        x = rng.discrete(seed, 0, n_samples * dim,
-                         spec.law_values, spec.law_probs).reshape(n_samples, dim)
-    return SampleBatch(multilinear_eval(spec, x), seed, f"multilinear-{spec.law}:dim={dim}")
+    out = np.empty(n_samples)
+
+    def block(lo: int, hi: int, workers: int) -> None:
+        if spec.law == "gaussian":
+            x = gaussian_matrix(dim, hi - lo, seed, start=lo, workers=workers)
+        elif spec.law == "rademacher":
+            x = rng.rademacher(seed, lo * dim, (hi - lo) * dim).reshape(hi - lo, dim)
+        else:
+            x = rng.discrete(seed, lo * dim, (hi - lo) * dim,
+                             spec.law_values, spec.law_probs).reshape(hi - lo, dim)
+        out[lo:hi] = multilinear_eval(spec, x)
+
+    _stream_rows(n_samples, dim, block, workers)
+    return SampleBatch(out, seed, f"multilinear-{spec.law}:dim={dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +271,23 @@ def fourth_moment_certificate(k: int, spec: SequenceSpec, n_samples: int,
     moment, the bound sqrt((4k-4)/(3k)) sqrt(|E F^4 - 3|), and the
     estimated TV distance to the standard normal.  A member passes when
     the estimate is below bound + CI width + 0.02, or the bound itself
-    is vacuous (>= 1).
+    is vacuous (>= 1).  The bound holds only inside one chaos, so a
+    member with a nonzero constant or a kernel of order other than k
+    raises ValueError before anything is sampled.
     """
     if k < 2:
         raise ValueError("fourth-moment certificate needs chaos order k >= 2")
+    members = spec.build()
+    for label, fel in members:
+        if variance(fel) <= 0.0:
+            raise ValueError(f"member {label} has zero variance")
+        if fel.constant != 0.0 or set(fel.kernels) != {k}:
+            raise ValueError(f"member {label} is not in chaos {k}: constant "
+                             f"{fel.constant}, kernel orders {sorted(fel.kernels)}")
     const = math.sqrt((4.0 * k - 4.0) / (3.0 * k))
     rows = []
-    for pos, (label, fel) in enumerate(spec.build()):
+    for pos, (label, fel) in enumerate(members):
         var = variance(fel)
-        if var <= 0.0:
-            raise ValueError(f"member {label} has zero variance")
         norm = linear_combine([(1.0 / math.sqrt(var), fel)])
         m4 = moment(norm, 4)
         bound = const * math.sqrt(abs(m4 - 3.0))

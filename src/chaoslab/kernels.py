@@ -151,6 +151,8 @@ def make_kernel(order: int, dim: int,
     """Build a kernel from (index tuple, coefficient) pairs.
 
     Tuples are sorted, duplicates merged by addition, exact zeros dropped.
+    A merged coefficient that is not finite (a NaN or infinite input, or a
+    sum of duplicates that overflows) raises ValueError.
     """
     if order < 1 or order > ORDER_CAP:
         raise ValueError(f"kernel order must be in 1..{ORDER_CAP}, got {order}")
@@ -166,6 +168,9 @@ def make_kernel(order: int, dim: int,
                 raise ValueError(f"label {v} outside 1..{dim} in index {t}")
         key = tuple(sorted(t))
         acc[key] = acc.get(key, 0.0) + float(coef)
+    for key, c in acc.items():
+        if not math.isfinite(c):
+            raise ValueError(f"coefficient at index {key} is not finite: {c}")
     return SymmetricKernel(order, dim, {k: v for k, v in acc.items() if v != 0.0})
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from chaoslab import (ChaosElement, ChaosVector, OrderCapError, basis_element,
                       expectation_of_product, linear_combine, make_kernel,
                       malliavin_matrix, mderiv, moment, multiply, ou_generator,
                       project, sample, single_integral, variance)
+from chaoslab import rng
+from chaoslab.chaos import _SAMPLE_BLOCK, gaussian_matrix
+from chaoslab.experiments import pair_sum_element
 from helpers import random_element
 
 H2 = single_integral(make_kernel(2, 3, [((1, 1), 1.0)]))  # H_2(X_1)
@@ -378,6 +382,53 @@ class TestSampling:
                 assert abs(got - exact) <= 4.0 * se + 1e-12
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestStreamedSampling:
+    """sample() draws and evaluates in row blocks; the reference draws the
+    whole (N, dim) input in one rng call and evaluates it at once."""
+
+    DIM = 7  # does not divide 2^16, so blocks and Gaussian chunks straddle rows
+    N = 2 * (_SAMPLE_BLOCK // DIM) + 1234  # three blocks, the last one ragged
+
+    @staticmethod
+    def _reference_input(dim: int, n: int, seed: int) -> np.ndarray:
+        return rng.gaussians(seed, 0, n * dim).reshape(n, dim)
+
+    def test_element_bit_for_bit(self, gen):
+        fel = random_element(gen, self.DIM, 3, terms=4)
+        x = self._reference_input(self.DIM, self.N, 21)
+        want = evaluate_batch(fel, x)
+        for workers in (1, 2):
+            assert _same_bits(sample(fel, self.N, 21, workers=workers).values, want)
+
+    def test_vector_bit_for_bit(self, gen):
+        vec = ChaosVector(tuple(random_element(gen, self.DIM, 2) for _ in range(3)))
+        x = self._reference_input(self.DIM, self.N, 22)
+        want = np.column_stack([evaluate_batch(c, x) for c in vec.components])
+        for workers in (1, 2):
+            assert _same_bits(sample(vec, self.N, 22, workers=workers).values, want)
+
+    @pytest.mark.parametrize("start", [0, 1, 9363, 20_000])
+    def test_gaussian_matrix_start_is_a_row_offset(self, start):
+        full = gaussian_matrix(self.DIM, 30_000, 23)
+        assert _same_bits(full, self._reference_input(self.DIM, 30_000, 23))
+        part = gaussian_matrix(self.DIM, 30_000 - start, 23, start=start, workers=2)
+        assert _same_bits(part, full[start:])
+
+    def test_peak_memory_bounded_by_a_block(self):
+        fel = pair_sum_element(100)  # dim 200: the whole input would be 80 MB
+        tracemalloc.start()
+        try:
+            sample(fel, 50_000, 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
+
+
 class TestInequalities:
     def test_poincare(self, gen):
         for _ in range(40):
@@ -407,6 +458,13 @@ class TestValidation:
             ChaosElement(3, 0.0, {3: ker})
         with pytest.raises(ValueError, match="dim"):
             ChaosElement(4, 0.0, {2: ker})
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_constant_rejected(self, c):
+        with pytest.raises(ValueError, match="constant must be finite"):
+            ChaosElement(3, c, {})
+        with pytest.raises(ValueError, match="constant must be finite"):
+            constant_element(3, c)
 
     def test_vector_validation(self):
         with pytest.raises(ValueError, match="dim"):

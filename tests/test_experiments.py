@@ -14,6 +14,8 @@ from chaoslab import (MultilinearSpec, SequenceSpec,
                       peccati_tudor_run, rademacher_average,
                       sample_multilinear, shigekawa_rate, single_integral,
                       variance)
+from chaoslab import rng
+from chaoslab.chaos import _SAMPLE_BLOCK
 from chaoslab.experiments import (_moo_verdict,
                                   _peccati_tudor_verdict, _shigekawa_verdict)
 
@@ -85,6 +87,19 @@ class TestFourthMoment:
     def test_low_order_rejected(self):
         with pytest.raises(ValueError, match="k >= 2"):
             fourth_moment_certificate(1, SequenceSpec("pair-sum", indices=(4,)),
+                                      2000, seed=1)
+
+    def test_member_outside_chaos_k_rejected(self):
+        mixed = linear_combine([(1.0, pair_sum_element(4)), (0.5, basis_element(8, 1))])
+        spec = SequenceSpec("custom", elements=((0.0, pair_sum_element(4)), (1.0, mixed)))
+        with pytest.raises(ValueError, match="member 1.0 is not in chaos 2"):
+            fourth_moment_certificate(2, spec, 2000, seed=1)
+        with pytest.raises(ValueError, match="member 4.0 is not in chaos 3"):
+            fourth_moment_certificate(3, SequenceSpec("pair-sum", indices=(4,)),
+                                      2000, seed=1)
+        shifted = linear_combine([(1.0, pair_sum_element(4)), (1.0, constant_element(8, 1.0))])
+        with pytest.raises(ValueError, match="not in chaos 2"):
+            fourth_moment_certificate(2, SequenceSpec("custom", elements=((0.0, shifted),)),
                                       2000, seed=1)
 
     def test_zero_variance_rejected(self):
@@ -278,6 +293,33 @@ class TestMultilinear:
         assert rep.rows[0]["max_influence"] == 1.0
         assert rep.rows[0]["fm"]["value"] > 0.3
         assert rep.verdict == "fail"
+
+
+class TestStreamedMultilinear:
+    """sample_multilinear draws and evaluates in row blocks; the reference
+    draws the whole (N, dim) input in one rng call and evaluates it at once."""
+
+    DIM = 7  # does not divide 2^16
+    N = 2 * (_SAMPLE_BLOCK // DIM) + 1234  # three blocks, the last one ragged
+    COEFFS = {(1,): 0.6, (2, 7): 0.48, (3, 5, 6): 0.64}
+    LAW = (-1.5811388300841898, 0.0, 1.5811388300841898), (0.2, 0.6, 0.2)
+
+    @pytest.mark.parametrize("law", ["gaussian", "rademacher", "discrete"])
+    def test_bit_for_bit(self, law):
+        values, probs = self.LAW if law == "discrete" else ((), ())
+        spec = MultilinearSpec(self.COEFFS, law=law, law_values=values, law_probs=probs)
+        count = self.N * self.DIM
+        if law == "gaussian":
+            x = rng.gaussians(31, 0, count)
+        elif law == "rademacher":
+            x = rng.rademacher(31, 0, count)
+        else:
+            x = rng.discrete(31, 0, count, values, probs)
+        want = multilinear_eval(spec, x.reshape(self.N, self.DIM))
+        for workers in (1, 2):
+            got = sample_multilinear(spec, self.N, 31, workers=workers).values
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestD12Rate:

@@ -168,6 +168,17 @@ class TestCli:
         assert "error: /kernels/0/entries/0/coef: expected a finite number" in \
             capsys.readouterr().err
 
+    def test_overflowing_duplicate_coefficients_exit_2(self, tmp_path, capsys):
+        ker = {"order": 1, "dim": 1, "entries": [{"idx": [1], "coef": 1e308},
+                                                 {"idx": [1], "coef": 1e308}]}
+        with pytest.raises(io.SchemaError, match="/kernel: coefficient at index"):
+            io.kernel_from_dict(ker)
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps({"dim": 1, "constant": 0.0, "kernels": [ker]}))
+        assert cli.main(["moments", "--chaos", str(path)]) == 2
+        assert "error: /kernels/0: coefficient at index (1,) is not finite" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("threads", ["0", "-1", "two"])
     def test_threads_must_be_positive(self, chaos_file, threads, capsys):
         assert cli.main(["--threads", threads, "eval", "--chaos", chaos_file,
@@ -315,6 +326,45 @@ class TestConfigExitCodes:
         cfg_path.write_text(json.dumps({"seed": 1, "n_samples": 10_000, **cfg}))
         assert cli.main(["verify", experiment, "--config", str(cfg_path)]) == 2
         assert f"error: {where}:" in capsys.readouterr().err
+
+    # json reads NaN, Infinity and -Infinity, and 1e400 as inf; "BAD" marks the slot
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("experiment, cfg, where", [
+        ("cw", {"chaos": H2_DICT, "alphas": [1.0, "BAD"]}, "config/alphas/1"),
+        ("d12", {"alpha": "BAD", "base": K2, "direction": K2, "scales": [0.5]},
+         "config/alpha"),
+        ("dm", {"k": 2, "base": K2, "direction": K2, "scales": ["BAD"]},
+         "config/scales/0"),
+        ("pt", {"indices": [4], "covariance": [[1.0, 0.0], [0.0, "BAD"]]},
+         "config/covariance/1/1"),
+    ])
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, bad, experiment,
+                                       cfg, where):
+        cfg_path = tmp_path / "cfg.json"
+        text = json.dumps({"seed": 1, "n_samples": 10_000, **cfg})
+        cfg_path.write_text(text.replace('"BAD"', bad))
+        out = tmp_path / "rep.json"
+        assert cli.main(["verify", experiment, "--config", str(cfg_path),
+                         "--out", str(out)]) == 2
+        assert f"error: {where}: expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 1, "n_samples": 10_000, "chaos": H2_DICT,
+                                        "alphas": [10 ** 400]}))
+        assert cli.main(["verify", "cw", "--config", str(cfg_path)]) == 2
+        assert "error: config/alphas/0: expected a finite number" in capsys.readouterr().err
+
+    def test_fourth_moment_outside_chaos_k_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        out = tmp_path / "rep.json"
+        cfg_path.write_text(json.dumps({"seed": 1, "n_samples": 5000, "k": 3,
+                                        "indices": [6, 12]}))
+        assert cli.main(["verify", "fourth-moment", "--config", str(cfg_path),
+                         "--out", str(out)]) == 2
+        assert "is not in chaos 3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_d12_members_accept_standard_gaussian_limit(self, tmp_path):
         member = tmp_path / "m.json"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +73,22 @@ class TestMakeKernel:
             make_kernel(0, 3, [])
         with pytest.raises(ValueError):
             make_kernel(9, 3, [])
+
+    @pytest.mark.parametrize("raw", [
+        [((1,), math.nan)],
+        [((1,), math.inf)],
+        [((1,), -math.inf)],
+        [((1,), 1e308), ((1,), 1e308)],     # the merge overflows to inf
+        [((1,), -1e308), ((1,), -1e308)],
+        [((1,), math.inf), ((1,), -math.inf)],  # merges to nan
+    ])
+    def test_non_finite_merged_coefficient_rejected(self, raw):
+        with pytest.raises(ValueError, match=r"coefficient at index \(1,\) is not finite"):
+            make_kernel(1, 1, raw)
+
+    def test_large_finite_duplicates_that_fit_are_kept(self):
+        ker = make_kernel(1, 1, [((1,), 8e307), ((1,), 8e307)])
+        assert ker.entries == {(1,): 1.6e308}
 
     @given(st.lists(st.tuples(st.tuples(st.integers(1, 4), st.integers(1, 4)),
                               st.floats(-5, 5, allow_nan=False)), max_size=8))
