@@ -23,10 +23,10 @@ import numpy as np
 
 from . import rng
 from .kernels import (ORDER_CAP, Index, SymmetricKernel, _add_scaled,
-                      hermite_table, inner, perm_count, slice_label,
-                      sym_contract, zero_kernel)
+                      _multiplicities, hermite_table, inner, perm_count,
+                      slice_label, sym_contract, zero_kernel)
 
-_SAMPLE_CHUNK = 1 << 16  # Gaussians per rng call
+_SAMPLE_CHUNK = 1 << 16  # draws per rng call
 _SAMPLE_BLOCK = 1 << 20  # input coordinates drawn and evaluated together
 
 
@@ -239,18 +239,7 @@ def moment(fel: ChaosElement, m: int) -> float:
     powers = {1: fel}
     for j in range(2, b + 1):
         powers[j] = multiply(powers[j - 1], fel)
-    fa, fb = powers[a], powers[b]
-    return fa.constant * fb.constant + covariance(fa, fb)
-
-
-def _runs(alpha: Index) -> list[tuple[int, int]]:
-    out = []
-    for v in alpha:
-        if out and out[-1][0] == v:
-            out[-1] = (v, out[-1][1] + 1)
-        else:
-            out.append((v, 1))
-    return out
+    return expectation_of_product(powers[a], powers[b])
 
 
 def evaluate_batch(fel: ChaosElement, x: np.ndarray) -> np.ndarray:
@@ -277,9 +266,9 @@ def evaluate_batch(fel: ChaosElement, x: np.ndarray) -> np.ndarray:
 
     for ker in fel.kernels.values():
         for alpha, c in ker.entries.items():
-            runs = _runs(alpha)
-            term = factor(*runs[0]) * (perm_count(alpha) * c)
-            for v, m in runs[1:]:
+            (v, m), *rest = _multiplicities(alpha).items()
+            term = factor(v, m) * (perm_count(alpha) * c)
+            for v, m in rest:
                 term *= factor(v, m)
             out += term
     return out
@@ -304,12 +293,13 @@ def _each(fill, spans, workers: int) -> None:
             fill(span)
 
 
-def gaussian_matrix(dim: int, n_samples: int, seed: int, start: int = 0,
-                    workers: int = 1) -> np.ndarray:
-    """Rows are iid N(0, I_dim); row i depends only on (seed, start + i).
+def _draw_matrix(draw, dim: int, n_samples: int, seed: int, start: int = 0,
+                workers: int = 1) -> np.ndarray:
+    """Rows of iid draws from draw(seed, first_counter, count), one of the
+    rng generators; row i depends only on (seed, start + i).
 
-    Entry (i, c) is Gaussian counter (start + i) * dim + c.  The output is
-    filled as one flat array in pieces of _SAMPLE_CHUNK Gaussians, small
+    Entry (i, c) is draw counter (start + i) * dim + c.  The output is
+    filled as one flat array in pieces of _SAMPLE_CHUNK draws, small
     enough for the generator's temporaries to stay in cache; workers > 1
     spreads the pieces over threads.  Neither can change a value.
     """
@@ -321,10 +311,17 @@ def gaussian_matrix(dim: int, n_samples: int, seed: int, start: int = 0,
 
     def fill(span):
         lo, hi = span
-        flat[lo:hi] = rng.gaussians(seed, first + lo, hi - lo)
+        flat[lo:hi] = draw(seed, first + lo, hi - lo)
 
     _each(fill, spans, workers)
     return out
+
+
+def gaussian_matrix(dim: int, n_samples: int, seed: int, start: int = 0,
+                    workers: int = 1) -> np.ndarray:
+    """Rows are iid N(0, I_dim); entry (i, c) is Gaussian counter
+    (start + i) * dim + c, drawn in cache-sized pieces by _draw_matrix."""
+    return _draw_matrix(rng.gaussians, dim, n_samples, seed, start, workers)
 
 
 def _stream_rows(n_samples: int, dim: int, block, workers: int) -> None:

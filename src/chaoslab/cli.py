@@ -33,59 +33,27 @@ VERIFY_EXPERIMENTS = ("fourth-moment", "shigekawa", "dm", "cw", "dball",
                       "pt", "moo", "d12")
 
 
-class ConfigError(ValueError):
-    pass
-
-
-_NUMBER = (int, float)
-_REQUIRED = object()
-
-
-def _check(val, kind, where: str):
-    """val, after checking that it is a kind; a bool is never a number, and
-    a number is finite (json reads NaN, Infinity and 1e400 as non-finite)."""
-    if kind is not None and (isinstance(val, bool) or not isinstance(val, kind)):
-        raise ConfigError(f"{where}: expected {getattr(kind, '__name__', 'a number')}")
-    if kind is _NUMBER and not abs(val) <= sys.float_info.max:  # also an int past it
-        raise ConfigError(f"{where}: expected a finite number, got {val!r}")
-    return val
-
-
-def _cfg(cfg: dict, key: str, kind=None, where: str = "config", default=_REQUIRED):
-    """The field key of cfg, checked to be a kind; default if it is absent
-    and a default is given."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{where}: expected an object")
-    if key not in cfg:
-        if default is not _REQUIRED:
-            return default
-        raise ConfigError(f"{where}/{key}: missing required field")
-    return _check(cfg[key], kind, f"{where}/{key}")
-
-
-def _entries(vals, kind, where: str) -> list:
-    """vals, after checking that it is a list whose every entry is a kind."""
-    return [_check(v, kind, f"{where}/{i}") for i, v in enumerate(_check(vals, list, where))]
-
-
-def _cfg_list(cfg: dict, key: str, kind, where: str = "config",
-              default=_REQUIRED) -> list:
-    """A list field whose every entry is a kind."""
-    return _entries(_cfg(cfg, key, None, where, default), kind, f"{where}/{key}")
-
-
 def _cfg_samples(cfg: dict, minimum: int = 1000) -> int:
-    n = _cfg(cfg, "n_samples", int)
+    n = io.field(cfg, "n_samples", int, "config")
     if n < minimum:
-        raise ConfigError(f"config/n_samples: need at least {minimum} for distance estimation")
+        raise io.SchemaError(f"config/n_samples: need at least {minimum} for distance estimation")
     return n
+
+
+def _counts(cfg: dict, key: str) -> list[int]:
+    """A non-empty list of positive integers: pair or coordinate counts."""
+    counts = io.field(cfg, key, [int], "config", nonempty=True)
+    for i, n in enumerate(counts):
+        if n < 1:
+            raise io.SchemaError(f"config/{key}/{i}: expected a positive integer, got {n}")
+    return counts
 
 
 def _from_config(cfg: dict, key: str, load, parse):
     """A kernel or chaos field: a file path, {"file": path}, or an inline object."""
-    obj = _cfg(cfg, key)
+    obj = io.field(cfg, key, None, "config")
     if isinstance(obj, dict) and "file" in obj:
-        obj = _cfg(obj, "file", str, f"config/{key}")
+        obj = io.field(obj, "file", str, f"config/{key}")
     if isinstance(obj, str):
         return load(obj)
     return parse(obj, where=f"config/{key}")
@@ -99,60 +67,60 @@ def _spec_from_config(cfg: dict, family: str) -> SequenceSpec:
     """The member family of a config: pair-sum indices, a base + scale *
     direction perturbation, or chaos files named by members."""
     if family == "pair-sum":
-        return SequenceSpec(family, indices=tuple(_cfg_list(cfg, "indices", int)))
+        return SequenceSpec(family, indices=tuple(_counts(cfg, "indices")))
     if family == "custom-files":
-        return SequenceSpec(family, paths=tuple(_cfg_list(cfg, "members", str)))
+        return SequenceSpec(family, paths=tuple(
+            io.field(cfg, "members", [str], "config", nonempty=True)))
     base, direction = (_from_config(cfg, key, io.load_kernel, io.kernel_from_dict)
                        for key in ("base", "direction"))
     if (direction.order, direction.dim) != (base.order, base.dim):
-        raise ConfigError(f"config/direction: order {direction.order} and dim "
-                          f"{direction.dim} must match base ({base.order}, {base.dim})")
+        raise io.SchemaError(f"config/direction: order {direction.order} and dim "
+                             f"{direction.dim} must match base ({base.order}, {base.dim})")
     return SequenceSpec(family, base=base, direction=direction,
-                        scales=tuple(float(t) for t in _cfg_list(cfg, "scales", _NUMBER)))
+                        scales=tuple(io.field(cfg, "scales", [float], "config", nonempty=True)))
 
 
 def _limit_from_config(cfg: dict) -> ChaosElement:
-    if _cfg(cfg, "limit") == "standard-gaussian":
+    if io.field(cfg, "limit", None, "config") == "standard-gaussian":
         return basis_element(1, 1)
     return _chaos_from_config(cfg, "limit")
 
 
 def _run_verify(name: str, cfg: dict, workers: int) -> ExperimentReport:
-    seed = _cfg(cfg, "seed", int)
+    seed = io.field(cfg, "seed", int, "config")
     if name == "fourth-moment":
-        return fourth_moment_certificate(_cfg(cfg, "k", int, default=2),
+        return fourth_moment_certificate(io.field(cfg, "k", int, "config", default=2),
                                          _spec_from_config(cfg, "pair-sum"),
                                          _cfg_samples(cfg), seed, workers=workers)
     if name == "shigekawa":
         spec = _spec_from_config(cfg, "pair-sum" if "indices" in cfg else "custom-files")
-        return shigekawa_rate(_cfg(cfg, "p", int), spec.build(),
+        return shigekawa_rate(io.field(cfg, "p", int, "config"), spec.build(),
                               _limit_from_config(cfg), _cfg_samples(cfg), seed,
                               workers=workers)
     if name == "dm":
         spec = _spec_from_config(cfg, "perturbation")
-        return dm_rate(_cfg(cfg, "k", int), spec.base,
+        return dm_rate(io.field(cfg, "k", int, "config"), spec.base,
                        [(t, spec.direction) for t in spec.scales],
                        _cfg_samples(cfg), seed, workers=workers)
     if name == "cw":
         return carbery_wright_probe(_chaos_from_config(cfg, "chaos"),
-                                    [float(a) for a in _cfg_list(cfg, "alphas", _NUMBER)],
+                                    io.field(cfg, "alphas", [float], "config", nonempty=True),
                                     _cfg_samples(cfg, 10_000), seed, workers=workers)
     if name == "dball":
         return df_small_ball_probe(_chaos_from_config(cfg, "chaos"),
-                                   [float(v) for v in _cfg_list(cfg, "lambdas", _NUMBER)],
+                                   io.field(cfg, "lambdas", [float], "config", nonempty=True),
                                    _cfg_samples(cfg, 10_000), seed, workers=workers)
     if name == "pt":
-        rows = _cfg_list(cfg, "covariance", list, default=[[1.0, 0.0], [0.0, 1.0]])
-        cov = np.asarray([_entries(row, _NUMBER, f"config/covariance/{i}")
-                          for i, row in enumerate(rows)], dtype=float)
-        vectors = [(float(n), pair_sum_vector(n)) for n in _cfg_list(cfg, "indices", int)]
+        cov = np.asarray(io.field(cfg, "covariance", [[float]], "config",
+                                  default=[[1.0, 0.0], [0.0, 1.0]]), dtype=float)
+        vectors = [(float(n), pair_sum_vector(n)) for n in _counts(cfg, "indices")]
         return peccati_tudor_run([1, 2], vectors, cov, _cfg_samples(cfg, 10_000),
                                  seed, workers=workers)
     if name == "moo":
         specs = _moo_specs(cfg)
         return moo_invariance(specs, _cfg_samples(cfg), seed, workers=workers)
     if name == "d12":
-        alpha = float(_cfg(cfg, "alpha", _NUMBER))
+        alpha = io.field(cfg, "alpha", float, "config")
         if "base" in cfg:
             # perturbation family: members I(base + t direction), limit I(base)
             spec = _spec_from_config(cfg, "perturbation")
@@ -162,31 +130,31 @@ def _run_verify(name: str, cfg: dict, workers: int) -> ExperimentReport:
             limit = _limit_from_config(cfg)
         return d12_rate_probe(spec.build(), limit, alpha,
                               _cfg_samples(cfg), seed, workers=workers)
-    raise ConfigError(f"config/experiment: unknown experiment {name!r}")
+    raise io.SchemaError(f"config/experiment: unknown experiment {name!r}")
 
 
 def _moo_specs(cfg: dict) -> list[MultilinearSpec]:
     if "sizes" in cfg:
-        return [rademacher_average(n) for n in _cfg_list(cfg, "sizes", int)]
+        return [rademacher_average(n) for n in _counts(cfg, "sizes")]
     specs = []
-    for i, raw in enumerate(_cfg(cfg, "specs", list)):
+    for i, raw in enumerate(io.field(cfg, "specs", [dict], "config", nonempty=True)):
         where = f"config/specs/{i}"
         coeffs = {}
-        for j, ent in enumerate(_cfg(raw, "coeffs", list, where)):
-            subset = tuple(_cfg_list(ent, "subset", int, f"{where}/coeffs/{j}"))
-            coeffs[subset] = float(_cfg(ent, "c", _NUMBER, f"{where}/coeffs/{j}"))
+        for j, ent in enumerate(io.field(raw, "coeffs", [dict], where)):
+            subset = tuple(io.field(ent, "subset", [int], f"{where}/coeffs/{j}"))
+            coeffs[subset] = io.field(ent, "c", float, f"{where}/coeffs/{j}")
         specs.append(MultilinearSpec(
-            coeffs, law=raw.get("law", "rademacher"),
-            law_values=tuple(_cfg_list(raw, "values", _NUMBER, where, default=[])),
-            law_probs=tuple(_cfg_list(raw, "probs", _NUMBER, where, default=[]))))
+            coeffs, law=io.field(raw, "law", str, where, default="rademacher"),
+            law_values=tuple(io.field(raw, "values", [float], where, default=[])),
+            law_probs=tuple(io.field(raw, "probs", [float], where, default=[]))))
     return specs
 
 
 def _parse_point(text: str, dim: int) -> list[float]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    vals = [float(p) for p in parts]
+    vals = [io.value(float(p), float, f"--point/{i}")
+            for i, p in enumerate(text.replace(",", " ").split())]
     if len(vals) != dim:
-        raise ConfigError(f"point has {len(vals)} coordinates, element has dim {dim}")
+        raise io.SchemaError(f"point has {len(vals)} coordinates, element has dim {dim}")
     return vals
 
 
@@ -276,7 +244,7 @@ def main(argv=None) -> int:
         if args.command == "moments":
             fel = io.load_chaos(args.chaos)
             if args.max_order < 1:
-                raise ConfigError("--max must be >= 1")
+                raise io.SchemaError("--max must be >= 1")
             for m in range(1, args.max_order + 1):
                 print(f"m{m}={moment(fel, m):.12g}")
             return 0
@@ -296,19 +264,20 @@ def main(argv=None) -> int:
                       file=sys.stderr)
             return 0 if rep.verdict in ("pass", "vacuous") else 1
 
-        # verify
+        # verify; the output fields are checked before the run
         cfg = io.load_json(args.config)
+        out = io.field(cfg, "output", str, "config", default=None)
+        fmt = io.field(cfg, "format", str, "config", default="json")
+        if fmt not in ("json", "csv"):
+            raise io.SchemaError(f'config/format: expected "json" or "csv", got {fmt!r}')
         rep = _run_verify(args.experiment, cfg, workers=args.threads)
-        out = args.out or cfg.get("output")
+        out = args.out or out
         if out:
-            if cfg.get("format", "json") == "csv":
-                _write_rows_csv(rep, out)
-            else:
-                io.save_report(rep, out)
+            (_write_rows_csv if fmt == "csv" else io.save_report)(rep, out)
         print(_report_summary(rep), file=sys.stderr)
         return 0 if rep.verdict in ("pass", "vacuous") else 1
 
-    except (ValueError, OSError) as exc:  # ConfigError and SchemaError included
+    except (ValueError, OSError) as exc:  # io.SchemaError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

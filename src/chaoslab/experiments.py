@@ -26,11 +26,12 @@ import numpy as np
 
 from . import rng
 from .chaos import (ChaosElement, ChaosVector, OrderCapError, SampleBatch,
-                    _stream_rows, basis_element, carre_du_champ, check_ibp,
-                    constant_element, covariance, det_chaos, evaluate_batch,
-                    expectation, expectation_of_product, gaussian_matrix,
-                    linear_combine, malliavin_matrix, mderiv, moment,
-                    multiply, project, sample, single_integral, variance)
+                    _draw_matrix, _stream_rows, basis_element, carre_du_champ,
+                    check_ibp, constant_element, covariance, det_chaos,
+                    evaluate_batch, expectation, expectation_of_product,
+                    gaussian_matrix, linear_combine, malliavin_matrix, mderiv,
+                    moment, multiply, project, sample, single_integral,
+                    variance)
 from .distances import (fm_two_samples, small_ball, tv_multivariate,
                         tv_two_samples, tv_vs_density)
 from .kernels import SymmetricKernel, kernel_add, make_kernel
@@ -202,6 +203,8 @@ class MultilinearSpec:
 
 def rademacher_average(n: int) -> MultilinearSpec:
     """(1/sqrt n) sum of the first n coordinates under the Rademacher law."""
+    if n < 1:
+        raise ValueError("need n >= 1 coordinates")
     c = 1.0 / math.sqrt(n)
     return MultilinearSpec({(i,): c for i in range(1, n + 1)})
 
@@ -239,21 +242,23 @@ def sample_multilinear(spec: MultilinearSpec, n_samples: int, seed: int,
 
     Coordinate c of sample i is draw (seed, i * dim + c) of the law's
     generator.  The rows are drawn and evaluated in blocks of about
-    2^20 coordinates, so the full (n_samples, dim) input never exists;
-    blocks and the worker count cannot change a value.
+    2^20 coordinates, each drawn in cache-sized pieces by _draw_matrix, so
+    the full (n_samples, dim) input never exists; blocks, pieces and the
+    worker count cannot change a value.
     """
     dim = spec.dim
     out = np.empty(n_samples)
+    if spec.law == "gaussian":
+        matrix = gaussian_matrix
+    elif spec.law == "rademacher":
+        matrix = functools.partial(_draw_matrix, rng.rademacher)
+    else:
+        matrix = functools.partial(_draw_matrix, lambda s, first, count: rng.discrete(
+            s, first, count, spec.law_values, spec.law_probs))
 
     def block(lo: int, hi: int, workers: int) -> None:
-        if spec.law == "gaussian":
-            x = gaussian_matrix(dim, hi - lo, seed, start=lo, workers=workers)
-        elif spec.law == "rademacher":
-            x = rng.rademacher(seed, lo * dim, (hi - lo) * dim).reshape(hi - lo, dim)
-        else:
-            x = rng.discrete(seed, lo * dim, (hi - lo) * dim,
-                             spec.law_values, spec.law_probs).reshape(hi - lo, dim)
-        out[lo:hi] = multilinear_eval(spec, x)
+        out[lo:hi] = multilinear_eval(spec, matrix(dim, hi - lo, seed, start=lo,
+                                                   workers=workers))
 
     _stream_rows(n_samples, dim, block, workers)
     return SampleBatch(out, seed, f"multilinear-{spec.law}:dim={dim}")

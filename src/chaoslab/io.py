@@ -8,9 +8,10 @@ Estimates:      {"method": ..., "value": ..., "ci": [lo, hi], "n": [...]}
 The idx arrays must be sorted ascending; order, dim and idx labels must
 be integers, and coef and constant finite numbers (a bool is neither).
 The parser rejects other input and reports the offending location
-JSON-pointer style.  Writes go through a temp file and an atomic rename,
-and serialization sorts keys, so identical runs produce byte-identical
-files.
+JSON-pointer style.  value() and field() are the one set of JSON field
+checks; the CLI reads its configs through them too.  Writes go through a
+temp file and an atomic rename, and serialization sorts keys, so
+identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -25,35 +26,60 @@ import numpy as np
 
 from .chaos import ChaosElement, SampleBatch
 from .experiments import ExperimentReport
-from .kernels import SymmetricKernel, make_kernel
+from .kernels import Index, SymmetricKernel, make_kernel
 
 
 class SchemaError(ValueError):
-    """Input does not match the documented file schema."""
+    """Input does not match the documented file or config schema."""
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise SchemaError(f"{where}/{key}: missing required field")
-    return obj[key]
+_REQUIRED = object()
+_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list",
+          dict: "an object", Index: "a list of integers"}
 
 
-def _integer(val, where: str) -> int:
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise SchemaError(f"{where}: expected an integer")
-    return val
+def _is(val, kind) -> bool:
+    if kind is Index:
+        return isinstance(val, list) and all(_is(v, int) for v in val)
+    return not isinstance(val, bool) and isinstance(val, (int, float) if kind is float else kind)
 
 
-def _finite(val, where: str) -> float:
-    """val as a float, after checking that it is a finite number."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise SchemaError(f"{where}: expected a number")
+def value(val, kind, where: str):
+    """val, after checking that it is a kind; where names it JSON-pointer style.
+
+    kind is int, float (a finite number, returned as a float), str, list,
+    dict, Index (a list of integers, checked as one value), [k] (a list
+    whose every entry is a k) or None (anything).  A bool is never a
+    number, and json reads NaN, Infinity and 1e400 as non-finite numbers.
+    """
+    if kind is None:
+        return val
+    if isinstance(kind, list):
+        return [value(v, kind[0], f"{where}/{i}") for i, v in enumerate(value(val, list, where))]
+    if not _is(val, kind):
+        raise SchemaError(f"{where}: expected {_KINDS[kind]}")
+    if kind is not float:
+        return val
     try:
         out = float(val)
     except OverflowError:  # an integer beyond the float range
         out = math.inf
     if not math.isfinite(out):
         raise SchemaError(f"{where}: expected a finite number, got {val!r}")
+    return out
+
+
+def field(obj, key: str, kind, where: str, default=_REQUIRED, nonempty: bool = False):
+    """Field key of the object obj, checked by value(); default if the field
+    is absent and a default is given.  nonempty rejects an empty list."""
+    value(obj, dict, where)
+    if key not in obj:
+        if default is _REQUIRED:
+            raise SchemaError(f"{where}/{key}: missing required field")
+        return default
+    out = value(obj[key], kind, f"{where}/{key}")
+    if nonempty and not out:
+        raise SchemaError(f"{where}/{key}: expected a non-empty list")
     return out
 
 
@@ -64,26 +90,16 @@ def kernel_to_dict(ker: SymmetricKernel) -> dict:
 
 
 def kernel_from_dict(obj: dict, where: str = "/kernel") -> SymmetricKernel:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an object")
-    order = _integer(_require(obj, "order", where), f"{where}/order")
-    dim = _integer(_require(obj, "dim", where), f"{where}/dim")
-    entries = _require(obj, "entries", where)
-    if not isinstance(entries, list):
-        raise SchemaError(f"{where}/entries: expected a list")
+    order = field(obj, "order", int, where)
+    dim = field(obj, "dim", int, where)
     raw = []
-    for i, ent in enumerate(entries):
+    for i, ent in enumerate(field(obj, "entries", [dict], where)):
         loc = f"{where}/entries/{i}"
-        if not isinstance(ent, dict):
-            raise SchemaError(f"{loc}: expected an object")
-        idx = _require(ent, "idx", loc)
-        coef = _require(ent, "coef", loc)
-        if not isinstance(idx, list) or any(isinstance(v, bool) or not isinstance(v, int)
-                                            for v in idx):
-            raise SchemaError(f"{loc}/idx: expected a list of integers")
+        idx = field(ent, "idx", Index, loc)
+        coef = field(ent, "coef", float, loc)
         if any(b < a for a, b in zip(idx, idx[1:])):
             raise SchemaError(f"{loc}/idx: must be sorted ascending, got {idx}")
-        raw.append((tuple(idx), _finite(coef, f"{loc}/coef")))
+        raw.append((tuple(idx), coef))
     try:
         return make_kernel(order, dim, raw)
     except ValueError as exc:
@@ -96,13 +112,9 @@ def chaos_to_dict(fel: ChaosElement) -> dict:
 
 
 def chaos_from_dict(obj: dict, where: str = "/chaos") -> ChaosElement:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an object")
-    dim = _integer(_require(obj, "dim", where), f"{where}/dim")
-    constant = _finite(obj.get("constant", 0.0), f"{where}/constant")
-    kobjs = obj.get("kernels", [])
-    if not isinstance(kobjs, list):
-        raise SchemaError(f"{where}/kernels: expected a list")
+    dim = field(obj, "dim", int, where)
+    constant = field(obj, "constant", float, where, default=0.0)
+    kobjs = field(obj, "kernels", list, where, default=[])
     kernels = {}
     for i, kobj in enumerate(kobjs):
         ker = kernel_from_dict(kobj, f"{where}/kernels/{i}")
@@ -121,13 +133,13 @@ def report_to_dict(rep: ExperimentReport) -> dict:
             "verdict": rep.verdict, "notes": rep.notes}
 
 
-def report_from_dict(obj: dict) -> ExperimentReport:
+def report_from_dict(obj: dict, where: str = "/report") -> ExperimentReport:
     return ExperimentReport(
-        experiment=str(_require(obj, "experiment", "/report")),
-        seed=int(_require(obj, "seed", "/report")),
-        rows=list(_require(obj, "rows", "/report")),
-        verdict=str(_require(obj, "verdict", "/report")),
-        notes=list(obj.get("notes", [])))
+        experiment=field(obj, "experiment", str, where),
+        seed=field(obj, "seed", int, where),
+        rows=field(obj, "rows", [dict], where),
+        verdict=field(obj, "verdict", str, where),
+        notes=field(obj, "notes", [str], where, default=[]))
 
 
 def dumps(obj: dict) -> str:
@@ -178,7 +190,7 @@ def save_chaos(fel: ChaosElement, path: str) -> None:
 
 
 def load_report(path: str) -> ExperimentReport:
-    return report_from_dict(load_json(path))
+    return report_from_dict(load_json(path), where="")
 
 
 def save_report(rep: ExperimentReport, path: str) -> None:

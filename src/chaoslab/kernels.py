@@ -31,22 +31,17 @@ ORDER_CAP = 8
 
 
 def hermite_eval(k: int, x: float) -> float:
-    """Probabilists' Hermite polynomial H_k at x, by the three-term recurrence.
-
-    H_0 = 1, H_1 = x, H_{k+1}(x) = x H_k(x) - k H_{k-1}(x).
-    """
+    """Probabilists' Hermite polynomial H_k at x: entry k of hermite_table."""
     if k < 0:
         raise ValueError("Hermite order must be >= 0")
-    if k == 0:
-        return 1.0
-    prev, cur = 1.0, float(x)
-    for j in range(1, k):
-        prev, cur = cur, x * cur - j * prev
-    return cur
+    return float(hermite_table(k, x)[k])
 
 
 def hermite_table(k_max: int, x):
-    """Stack H_0(x) .. H_{k_max}(x) for array-valued x; shape (k_max+1,) + x.shape."""
+    """Stack H_0(x) .. H_{k_max}(x) for array-valued x; shape (k_max+1,) + x.shape.
+
+    Three-term recurrence: H_0 = 1, H_1 = x, H_{k+1}(x) = x H_k(x) - k H_{k-1}(x).
+    """
     import numpy as np
 
     x = np.asarray(x, dtype=float)

@@ -12,7 +12,8 @@ from chaoslab import (ChaosElement, ChaosVector, OrderCapError, basis_element,
                       project, sample, single_integral, variance)
 from chaoslab import rng
 from chaoslab.chaos import _SAMPLE_BLOCK, gaussian_matrix
-from chaoslab.experiments import pair_sum_element
+from chaoslab.experiments import (MultilinearSpec, pair_sum_element,
+                                  rademacher_average, sample_multilinear)
 from helpers import random_element
 
 H2 = single_integral(make_kernel(2, 3, [((1, 1), 1.0)]))  # H_2(X_1)
@@ -427,6 +428,20 @@ class TestStreamedSampling:
         finally:
             tracemalloc.stop()
         assert peak < 20 * 2 ** 20
+
+    @pytest.mark.parametrize("law", ["rademacher", "discrete"])
+    def test_multilinear_peak_memory_bounded_by_a_block(self, law):
+        # dim 400: one 2^20-coordinate block is 8 MB, and its draws come in
+        # cache-sized pieces, not as one call with 8 MB integer temporaries
+        spec = MultilinearSpec(rademacher_average(400).coeffs, law=law,
+                               law_values=(-1.0, 1.0), law_probs=(0.5, 0.5))
+        tracemalloc.start()
+        try:
+            sample_multilinear(spec, 50_000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestInequalities:

@@ -1,9 +1,13 @@
+import copy
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoslab import cli, io
 from chaoslab import (basis_element, constant_element, make_kernel,
@@ -374,3 +378,140 @@ class TestConfigExitCodes:
                                         "members": [str(member)],
                                         "limit": "standard-gaussian"}))
         assert cli.main(["verify", "d12", "--config", str(cfg_path)]) in (0, 1)
+
+
+class TestUncheckedFieldsExit2:
+    """Fields and grids that once reached neither validator: each exits 2
+    naming the field and writes no report."""
+
+    K2 = TestConfigExitCodes.K2
+    SPEC = {"coeffs": [{"subset": [1], "c": 1.0}]}
+
+    @pytest.mark.parametrize("experiment, cfg, where", [
+        ("fourth-moment", {"indices": [6], "output": 5}, "config/output"),
+        ("fourth-moment", {"indices": [6], "format": "xml"}, "config/format"),
+        ("moo", {"sizes": [0]}, "config/sizes/0"),
+        ("pt", {"indices": []}, "config/indices"),
+        ("moo", {"sizes": []}, "config/sizes"),
+        ("d12", {"alpha": 1.0, "members": [], "limit": "standard-gaussian"},
+         "config/members"),
+        ("fourth-moment", {"indices": [0]}, "config/indices/0"),
+        ("dm", {"k": 2, "base": K2, "direction": K2, "scales": []}, "config/scales"),
+        ("cw", {"chaos": H2_DICT, "alphas": []}, "config/alphas"),
+        ("dball", {"chaos": H2_DICT, "lambdas": []}, "config/lambdas"),
+        ("moo", {"specs": []}, "config/specs"),
+        ("moo", {"specs": [{**SPEC, "law": 5}]}, "config/specs/0/law"),
+    ])
+    def test_exits_2_with_location(self, tmp_path, capsys, experiment, cfg, where):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 1, "n_samples": 10_000, **cfg}))
+        out = tmp_path / "rep.json"
+        assert cli.main(["verify", experiment, "--config", str(cfg_path),
+                         "--out", str(out)]) == 2
+        assert f"error: {where}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("point", ["nan", "inf", "-inf", "1e400"])
+    def test_eval_rejects_non_finite_point(self, chaos_file, capsys, point):
+        assert cli.main(["eval", "--chaos", chaos_file, f"--point={point}"]) == 2
+        assert "error: --point/0: expected a finite number" in capsys.readouterr().err
+
+
+# Small valid inputs: every verify run below takes well under a second.
+K2B = {"order": 2, "dim": 2, "entries": [{"idx": [1, 2], "coef": 0.5}]}
+FUZZ_CONFIGS = [
+    ("fourth-moment", {"seed": 1, "n_samples": 1000, "k": 2, "indices": [2],
+                       "output": "unused.json", "format": "json"}),
+    ("shigekawa", {"seed": 1, "n_samples": 1000, "p": 2, "indices": [2],
+                   "limit": "standard-gaussian"}),
+    ("dm", {"seed": 1, "n_samples": 1000, "k": 2, "base": TestConfigExitCodes.K2,
+            "direction": K2B, "scales": [0.5, 0.25]}),
+    ("d12", {"seed": 1, "n_samples": 1000, "alpha": 1.0, "base": TestConfigExitCodes.K2,
+             "direction": K2B, "scales": [0.5]}),
+    ("cw", {"seed": 1, "n_samples": 10_000, "chaos": H2_DICT, "alphas": [1.0]}),
+    ("dball", {"seed": 1, "n_samples": 10_000, "chaos": H2_DICT, "lambdas": [1.0]}),
+    ("pt", {"seed": 1, "n_samples": 10_000, "indices": [1],
+            "covariance": [[1.0, 0.0], [0.0, 1.0]]}),
+    ("moo", {"seed": 1, "n_samples": 1000, "sizes": [2]}),
+    ("moo", {"seed": 1, "n_samples": 1000, "specs": [
+        {"coeffs": [{"subset": [1], "c": 0.6}, {"subset": [1, 2], "c": 0.8}],
+         "law": "discrete", "values": [-1.0, 1.0], "probs": [0.5, 0.5]}]}),
+]
+FUZZ_CHAOS = {"dim": 2, "constant": 0.5, "kernels": [
+    {"order": 1, "dim": 2, "entries": [{"idx": [2], "coef": -1.0}]},
+    {"order": 2, "dim": 2, "entries": [{"idx": [1, 1], "coef": 1.0},
+                                       {"idx": [1, 2], "coef": 0.25}]}]}
+
+DELETE = object()
+# small numbers only, so no mutation asks for a huge run
+SCALARS = (st.none() | st.booleans() | st.integers(-3, 5)
+           | st.sampled_from([0.0, 0.5, -1.0, 1e308, float("nan"), float("inf"),
+                              -float("inf")])
+           | st.sampled_from(["", "x", "json", "csv", "standard-gaussian",
+                              "rademacher", "discrete", "gaussian"]))
+JSON_VALUES = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["file", "order", "dim", "entries", "idx",
+                                       "coef", "subset", "c"]), inner, max_size=3),
+    max_leaves=6)
+
+
+def _paths(obj, prefix=()):
+    """Every location inside obj, as a tuple of keys and list indices."""
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, val in items:
+        yield prefix + (key,)
+        yield from _paths(val, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, bases):
+    """One of bases with a single field replaced by a JSON value or deleted."""
+    name, base = draw(st.sampled_from(bases))
+    path = draw(st.sampled_from(list(_paths(base))))
+    new = draw(st.just(DELETE) | SCALARS | st.lists(SCALARS, max_size=3) | JSON_VALUES)
+    out = copy.deepcopy(base)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    if new is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return name, out
+
+
+class TestCliFuzz:
+    """Mutated inputs keep the exit-code contract: 0, 1 or 2 and never an
+    exception; exit 1 only with a written report, exit 2 with none."""
+
+    @given(mutated(FUZZ_CONFIGS))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_mutated_verify_configs(self, case):
+        experiment, cfg = case
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "rep.json")
+            with open(cfg_path, "w") as fh:
+                json.dump(cfg, fh)
+            code = cli.main(["verify", experiment, "--config", cfg_path, "--out", out])
+            assert code in (0, 1, 2)
+            if code == 1:
+                assert os.path.exists(out)
+            if code == 2:
+                assert not os.path.exists(out)
+
+    @given(mutated([("chaos", FUZZ_CHAOS)]))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_mutated_chaos_files(self, case):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "f.json"), os.path.join(tmp, "s.csv")
+            with open(path, "w") as fh:
+                json.dump(case[1], fh)
+            for argv in (["moments", "--chaos", path],
+                         ["eval", "--chaos", path, "--point", "0.5,-1"]):
+                assert cli.main(argv) in (0, 2)
+            code = cli.main(["sample", "--chaos", path, "-n", "20", "--seed", "1",
+                             "--out", out])
+            assert code in (0, 2)
+            assert os.path.exists(out) == (code == 0)
