@@ -24,7 +24,7 @@ import numpy as np
 from . import rng
 from .kernels import (ORDER_CAP, Index, SymmetricKernel, _add_scaled,
                       _multiplicities, hermite_table, inner, perm_count,
-                      slice_label, sym_contract, zero_kernel)
+                      slice_label, sym_contract)
 
 _SAMPLE_CHUNK = 1 << 16  # draws per rng call
 _SAMPLE_BLOCK = 1 << 20  # input coordinates drawn and evaluated together
@@ -60,9 +60,6 @@ class ChaosElement:
     @property
     def max_order(self) -> int:
         return max(self.kernels) if self.kernels else 0
-
-    def kernel(self, k: int) -> SymmetricKernel:
-        return self.kernels.get(k, zero_kernel(k, self.dim))
 
     def is_constant(self) -> bool:
         return not self.kernels

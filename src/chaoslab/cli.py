@@ -13,9 +13,8 @@ partitions sampling work and can never change a reported value.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -86,39 +85,40 @@ def _limit_from_config(cfg: dict) -> ChaosElement:
     return _chaos_from_config(cfg, "limit")
 
 
-def _run_verify(name: str, cfg: dict, workers: int) -> ExperimentReport:
+def _verify_call(name: str, cfg: dict, workers: int):
+    """The experiment call a config describes, with every field read and
+    checked; nothing is sampled until the call is made."""
     seed = io.field(cfg, "seed", int, "config")
     if name == "fourth-moment":
-        return fourth_moment_certificate(io.field(cfg, "k", int, "config", default=2),
-                                         _spec_from_config(cfg, "pair-sum"),
-                                         _cfg_samples(cfg), seed, workers=workers)
+        return partial(fourth_moment_certificate, io.field(cfg, "k", int, "config", default=2),
+                       _spec_from_config(cfg, "pair-sum"), _cfg_samples(cfg), seed,
+                       workers=workers)
     if name == "shigekawa":
         spec = _spec_from_config(cfg, "pair-sum" if "indices" in cfg else "custom-files")
-        return shigekawa_rate(io.field(cfg, "p", int, "config"), spec.build(),
-                              _limit_from_config(cfg), _cfg_samples(cfg), seed,
-                              workers=workers)
+        return partial(shigekawa_rate, io.field(cfg, "p", int, "config"), spec.build(),
+                       _limit_from_config(cfg), _cfg_samples(cfg), seed, workers=workers)
     if name == "dm":
         spec = _spec_from_config(cfg, "perturbation")
-        return dm_rate(io.field(cfg, "k", int, "config"), spec.base,
+        return partial(dm_rate, io.field(cfg, "k", int, "config"), spec.base,
                        [(t, spec.direction) for t in spec.scales],
                        _cfg_samples(cfg), seed, workers=workers)
     if name == "cw":
-        return carbery_wright_probe(_chaos_from_config(cfg, "chaos"),
-                                    io.field(cfg, "alphas", [float], "config", nonempty=True),
-                                    _cfg_samples(cfg, 10_000), seed, workers=workers)
+        return partial(carbery_wright_probe, _chaos_from_config(cfg, "chaos"),
+                       io.field(cfg, "alphas", [float], "config", nonempty=True),
+                       _cfg_samples(cfg, 10_000), seed, workers=workers)
     if name == "dball":
-        return df_small_ball_probe(_chaos_from_config(cfg, "chaos"),
-                                   io.field(cfg, "lambdas", [float], "config", nonempty=True),
-                                   _cfg_samples(cfg, 10_000), seed, workers=workers)
+        return partial(df_small_ball_probe, _chaos_from_config(cfg, "chaos"),
+                       io.field(cfg, "lambdas", [float], "config", nonempty=True),
+                       _cfg_samples(cfg, 10_000), seed, workers=workers)
     if name == "pt":
         cov = np.asarray(io.field(cfg, "covariance", [[float]], "config",
                                   default=[[1.0, 0.0], [0.0, 1.0]]), dtype=float)
         vectors = [(float(n), pair_sum_vector(n)) for n in _counts(cfg, "indices")]
-        return peccati_tudor_run([1, 2], vectors, cov, _cfg_samples(cfg, 10_000),
-                                 seed, workers=workers)
+        return partial(peccati_tudor_run, [1, 2], vectors, cov, _cfg_samples(cfg, 10_000),
+                       seed, workers=workers)
     if name == "moo":
         specs = _moo_specs(cfg)
-        return moo_invariance(specs, _cfg_samples(cfg), seed, workers=workers)
+        return partial(moo_invariance, specs, _cfg_samples(cfg), seed, workers=workers)
     if name == "d12":
         alpha = io.field(cfg, "alpha", float, "config")
         if "base" in cfg:
@@ -128,8 +128,8 @@ def _run_verify(name: str, cfg: dict, workers: int) -> ExperimentReport:
         else:
             spec = _spec_from_config(cfg, "custom-files")
             limit = _limit_from_config(cfg)
-        return d12_rate_probe(spec.build(), limit, alpha,
-                              _cfg_samples(cfg), seed, workers=workers)
+        return partial(d12_rate_probe, spec.build(), limit, alpha,
+                       _cfg_samples(cfg), seed, workers=workers)
     raise io.SchemaError(f"config/experiment: unknown experiment {name!r}")
 
 
@@ -163,22 +163,6 @@ def _report_summary(rep: ExperimentReport) -> str:
              f"({len(rep.rows)} rows, {rep.wall_clock:.2f}s)"]
     lines += [f"  note: {n}" for n in rep.notes]
     return "\n".join(lines)
-
-
-def _write_rows_csv(rep: ExperimentReport, path: str) -> None:
-    cols: list[str] = []
-    for row in rep.rows:
-        for key in row:
-            if key not in cols:
-                cols.append(key)
-
-    def write(fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in rep.rows:
-            writer.writerow([json.dumps(row.get(c), sort_keys=True) for c in cols])
-
-    io.write_atomic(path, write, newline="")
 
 
 def _positive_int(text: str) -> int:
@@ -238,15 +222,19 @@ def main(argv=None) -> int:
     try:
         if args.command == "eval":
             fel = io.load_chaos(args.chaos)
-            print(f"{evaluate(fel, _parse_point(args.point, fel.dim)):.12g}")
+            val = io.value(evaluate(fel, _parse_point(args.point, fel.dim)), float, "eval")
+            print(f"{val:.12g}")
             return 0
 
         if args.command == "moments":
             fel = io.load_chaos(args.chaos)
             if args.max_order < 1:
                 raise io.SchemaError("--max must be >= 1")
-            for m in range(1, args.max_order + 1):
-                print(f"m{m}={moment(fel, m):.12g}")
+            # every moment is computed and checked before any is printed
+            moments = [io.value(moment(fel, m), float, f"m{m}")
+                       for m in range(1, args.max_order + 1)]
+            for m, val in enumerate(moments, 1):
+                print(f"m{m}={val:.12g}")
             return 0
 
         if args.command == "sample":
@@ -264,16 +252,20 @@ def main(argv=None) -> int:
                       file=sys.stderr)
             return 0 if rep.verdict in ("pass", "vacuous") else 1
 
-        # verify; the output fields are checked before the run
-        cfg = io.load_json(args.config)
+        # verify; the whole config is read and checked before the run
+        cfg = io.load_config(args.config)
         out = io.field(cfg, "output", str, "config", default=None)
         fmt = io.field(cfg, "format", str, "config", default="json")
         if fmt not in ("json", "csv"):
             raise io.SchemaError(f'config/format: expected "json" or "csv", got {fmt!r}')
-        rep = _run_verify(args.experiment, cfg, workers=args.threads)
+        run = _verify_call(args.experiment, cfg, workers=args.threads)
+        io.reject_unread(cfg, "config")
+        rep = run()
         out = args.out or out
         if out:
-            (_write_rows_csv if fmt == "csv" else io.save_report)(rep, out)
+            (io.save_rows_csv if fmt == "csv" else io.save_report)(rep, out)
+        else:  # a non-finite result is refused whether or not it is saved
+            io.dumps(io.report_to_dict(rep), "report")
         print(_report_summary(rep), file=sys.stderr)
         return 0 if rep.verdict in ("pass", "vacuous") else 1
 

@@ -28,11 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d
-from scipy.special import ndtr
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv, ndtr
 
 from . import rng
 from .chaos import SampleBatch
+
+KDE_GRID_POINTS = 2048   # tv_vs_density grid
+TV_MIN_BINS = 20         # tv_two_samples: max(TV_MIN_BINS, floor(min(N)^(1/3))) bins
+GRID2D_CELLS = 40        # tv_multivariate cells per axis
 
 
 class DegenerateSampleError(ValueError):
@@ -115,12 +118,11 @@ def normal_pdf(x, mean: float = 0.0, var: float = 1.0):
 
 
 def tv_vs_density(batch, mean: float = 0.0, var: float = 1.0,
-                  grid_points: int = 2048, n_boot: int = 200,
-                  seed: int = 0) -> DistanceEstimate:
+                  n_boot: int = 200, seed: int = 0) -> DistanceEstimate:
     """TV between the sample law and a normal(mean, var) target.
 
     Gaussian KDE with Silverman bandwidth h = 1.06 sigma N^(-1/5),
-    evaluated by binned convolution on grid_points points spanning the
+    evaluated by binned convolution on KDE_GRID_POINTS points spanning the
     data range +- 4h; the estimate is half the trapezoid integral of
     |kde - target| plus the target mass beyond the grid.  Bootstrap
     resamples the bin counts with the bandwidth held fixed.
@@ -134,14 +136,14 @@ def tv_vs_density(batch, mean: float = 0.0, var: float = 1.0,
         raise DegenerateSampleError("sample standard deviation is zero")
     h = 1.06 * sigma * n ** (-0.2)
     lo, hi = float(x.min()) - 4.0 * h, float(x.max()) + 4.0 * h
-    edges = np.linspace(lo, hi, grid_points + 1)
+    edges = np.linspace(lo, hi, KDE_GRID_POINTS + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     dx = edges[1] - edges[0]
     counts = np.histogram(x, edges)[0]
 
     # clamp so the kernel never outgrows the grid (np.convolve 'same'
     # would change the output length); a kernel that wide is flat anyway
-    radius = min(int(math.ceil(5.0 * h / dx)), grid_points // 2 - 1)
+    radius = min(int(math.ceil(5.0 * h / dx)), KDE_GRID_POINTS // 2 - 1)
     offs = np.arange(-radius, radius + 1) * dx
     kernel = np.exp(-offs ** 2 / (2.0 * h * h))
     kernel /= kernel.sum()
@@ -156,19 +158,17 @@ def tv_vs_density(batch, mean: float = 0.0, var: float = 1.0,
     return _bootstrap(stat, [(counts, n)], n_boot, seed, 0x7D1, "tv-kde", cap=1.0)
 
 
-def tv_two_samples(s1, s2, bins: int | None = None, n_boot: int = 200,
-                   seed: int = 0) -> DistanceEstimate:
+def tv_two_samples(s1, s2, n_boot: int = 200, seed: int = 0) -> DistanceEstimate:
     """TV between two sample laws from a common histogram (Scheffe).
 
-    Default bin count max(20, floor(min(N)^(1/3))) over the pooled range.
+    The bin count is max(20, floor(min(N)^(1/3))) over the pooled range.
     Upward-biased at finite N; identical inputs give exactly 0.
     """
     x1, x2 = _scalar_values(s1), _scalar_values(s2)
     n1, n2 = x1.size, x2.size
     if min(n1, n2) < 1000:
         raise ValueError(f"need at least 1000 samples per set, got {n1}, {n2}")
-    if bins is None:
-        bins = max(20, int(min(n1, n2) ** (1.0 / 3.0)))
+    bins = max(TV_MIN_BINS, int(min(n1, n2) ** (1.0 / 3.0)))
     lo = min(float(x1.min()), float(x2.min()))
     hi = max(float(x1.max()), float(x2.max()))
     if lo == hi:
@@ -183,8 +183,7 @@ def tv_two_samples(s1, s2, bins: int | None = None, n_boot: int = 200,
     return _bootstrap(stat, [(c1, n1), (c2, n2)], n_boot, seed, 0x7D2, "tv-hist")
 
 
-def tv_multivariate(batch, cov, grid_cells: int = 40, n_boot: int = 200,
-                    seed: int = 0) -> DistanceEstimate:
+def tv_multivariate(batch, cov, n_boot: int = 200, seed: int = 0) -> DistanceEstimate:
     """TV between a 2d sample law and N(0, C) on a grid of cells.
 
     Cells span +-4 sqrt(max C_ii) per axis; the Gaussian cell mass is
@@ -205,7 +204,7 @@ def tv_multivariate(batch, cov, grid_cells: int = 40, n_boot: int = 200,
         raise ValueError(f"need at least 10000 samples, got {n}")
 
     half = 4.0 * math.sqrt(float(cov.diagonal().max()))
-    edges = np.linspace(-half, half, grid_cells + 1)
+    edges = np.linspace(-half, half, GRID2D_CELLS + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     area = (edges[1] - edges[0]) ** 2
 
@@ -321,6 +320,6 @@ def small_ball(batch, alpha: float) -> DistanceEstimate:
         raise ValueError(f"need at least 10000 samples, got {n}")
     k = int(np.count_nonzero(np.abs(x) <= alpha))
     p = k / n
-    lo = 0.0 if k == 0 else float(beta_dist.ppf(0.025, k, n - k + 1))
-    hi = 1.0 if k == n else float(beta_dist.ppf(0.975, k + 1, n - k))
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, 0.025))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 0.975))
     return DistanceEstimate(p, lo, hi, "smallball", (n,))

@@ -36,8 +36,18 @@ from .distances import (fm_two_samples, small_ball, tv_multivariate,
                         tv_two_samples, tv_vs_density)
 from .kernels import SymmetricKernel, kernel_add, make_kernel
 
-IDENTITY_GATE = 1e-8
-CONSTANT_GATE = 10.0
+# Fixed gates: reports do not store them, so verdicts follow from rows alone.
+IDENTITY_GATE = 1e-8          # identity_suite: max roundoff deviation
+CONSTANT_GATE = 10.0          # carbery_wright_probe, df_small_ball_probe: max ratio
+SHIGEKAWA_TV_THRESHOLD = 0.05
+SHIGEKAWA_RATIO_SLACK = 0.5
+SHIGEKAWA_FM_FLOOR = 0.02
+DM_SLOPE_SLACK = 0.1
+DM_STABILITY_FACTOR = 3.0
+PT_JOINT_GATE = 0.1
+D12_STABILITY_FACTOR = 3.0
+D12_TRUNC = 1e-8              # carre du champ values below this are dropped
+RANDOM_ELEMENT_TERMS = 3      # random_element: at most this many entries per order
 
 
 @dataclass
@@ -50,9 +60,6 @@ class ExperimentReport:
     verdict: str  # "pass" | "fail" | "vacuous"
     notes: list[str] = field(default_factory=list)
     wall_clock: float = 0.0  # seconds; not serialized, reports stay byte-stable
-
-    def row_values(self, key: str) -> list:
-        return [r[key] for r in self.rows]
 
 
 def _timed(experiment):
@@ -319,8 +326,7 @@ def _all_rows_verdict(rows: Sequence[dict]) -> str:
 @_timed
 def shigekawa_rate(p: int, members: Sequence[tuple[float, ChaosElement]],
                    f_inf: ChaosElement, n_samples: int, seed: int,
-                   tv_threshold: float = 0.05, ratio_slack: float = 0.5,
-                   fm_floor: float = 0.02, workers: int = 1) -> ExperimentReport:
+                   workers: int = 1) -> ExperimentReport:
     """TV vs Fortet-Mourier rate for a family in a fixed sum of chaoses.
 
     Per member: two-sample TV and FM distances to the limit, and the
@@ -348,7 +354,8 @@ def shigekawa_rate(p: int, members: Sequence[tuple[float, ChaosElement]],
             m4 = None
         rows.append({"index": label, "tv": tv.to_dict(), "fm": fm.to_dict(),
                      "ratio": ratio, "fourth_moment": m4})
-    verdict = _shigekawa_verdict(rows, tv_threshold, ratio_slack, fm_floor)
+    verdict = _shigekawa_verdict(rows, SHIGEKAWA_TV_THRESHOLD, SHIGEKAWA_RATIO_SLACK,
+                                 SHIGEKAWA_FM_FLOOR)
     notes = [f"rate exponent 1/(2p+1) = {expo:.6f} at p={p}"]
     m4s = [r["fourth_moment"] for r in rows if r["fourth_moment"] is not None]
     if m4s:
@@ -374,8 +381,7 @@ def _shigekawa_verdict(rows: Sequence[dict], tv_threshold: float,
 @_timed
 def dm_rate(k: int, f_inf: SymmetricKernel,
             perturbations: Sequence[tuple[float, SymmetricKernel]],
-            n_samples: int, seed: int, slope_slack: float = 0.1,
-            stability_factor: float = 3.0, workers: int = 1) -> ExperimentReport:
+            n_samples: int, seed: int, workers: int = 1) -> ExperimentReport:
     """Kernel-continuity rate: TV distance against kernel distance.
 
     Members are I_k(f_inf + t g); the exact kernel distance is t ||g||.
@@ -404,7 +410,7 @@ def dm_rate(k: int, f_inf: SymmetricKernel,
         fitted = tv.value / dist ** expo if dist > 0.0 else 0.0
         rows.append({"t": float(t), "kernel_dist": dist, "tv": tv.to_dict(),
                      "fitted_c": fitted})
-    verdict, slope = _dm_verdict(rows, expo, slope_slack, stability_factor)
+    verdict, slope = _dm_verdict(rows, expo, DM_SLOPE_SLACK, DM_STABILITY_FACTOR)
     return ExperimentReport("davydov-martynova", seed, rows, verdict,
                             notes=[f"exponent 1/(2k) = {expo:.6f} at k={k}",
                                    f"log-log slope = {slope:.4f}"])
@@ -430,9 +436,7 @@ def _dm_verdict(rows: Sequence[dict], expo: float, slope_slack: float,
 
 @_timed
 def carbery_wright_probe(q_el: ChaosElement, alphas: Sequence[float],
-                         n_samples: int, seed: int,
-                         gate: float = CONSTANT_GATE,
-                         workers: int = 1) -> ExperimentReport:
+                         n_samples: int, seed: int, workers: int = 1) -> ExperimentReport:
     """Anti-concentration of a Gaussian polynomial across thresholds.
 
     For each alpha: the small-ball probability and the normalized ratio
@@ -453,17 +457,15 @@ def carbery_wright_probe(q_el: ChaosElement, alphas: Sequence[float],
         ratio = m2 ** (1.0 / (2.0 * d)) * sb.value / (d * a ** (1.0 / d))
         rows.append({"alpha": a, "prob": sb.to_dict(), "ratio": ratio})
     worst = max(r["ratio"] for r in rows)
-    verdict = "pass" if worst <= gate else "fail"
+    verdict = "pass" if worst <= CONSTANT_GATE else "fail"
     return ExperimentReport("carbery-wright", seed, rows, verdict,
                             notes=[f"degree {d}, exact E[Q^2] = {m2:.6f}",
-                                   f"max normalized ratio {worst:.4f} (gate {gate})"])
+                                   f"max normalized ratio {worst:.4f} (gate {CONSTANT_GATE})"])
 
 
 @_timed
 def df_small_ball_probe(fel: ChaosElement, lambdas: Sequence[float],
-                        n_samples: int, seed: int,
-                        gate: float = CONSTANT_GATE,
-                        workers: int = 1) -> ExperimentReport:
+                        n_samples: int, seed: int, workers: int = 1) -> ExperimentReport:
     """Small-ball behavior of the Malliavin gradient norm.
 
     Samples the carre du champ (the chaos expansion of ||DF||^2, a
@@ -492,7 +494,7 @@ def df_small_ball_probe(fel: ChaosElement, lambdas: Sequence[float],
         rows.append({"lambda": lam, "prob": sb.to_dict(), "ratio": ratio})
     ratios = [r["ratio"] for r in rows if r["ratio"] is not None]
     if ratios:
-        verdict = "pass" if max(ratios) <= gate else "fail"
+        verdict = "pass" if max(ratios) <= CONSTANT_GATE else "fail"
     else:
         verdict = "vacuous"
     return ExperimentReport("gradient-small-ball", seed, rows, verdict,
@@ -504,7 +506,6 @@ def df_small_ball_probe(fel: ChaosElement, lambdas: Sequence[float],
 def peccati_tudor_run(k_list: Sequence[int],
                       vectors: Sequence[tuple[float, ChaosVector]],
                       cov: np.ndarray, n_samples: int, seed: int,
-                      joint_gate: float = 0.1,
                       workers: int = 1) -> ExperimentReport:
     """Joint normal approximation of a vector of multiple integrals.
 
@@ -554,7 +555,7 @@ def peccati_tudor_run(k_list: Sequence[int],
                      "gram_gap": gram_gap,
                      "marginal_tv": [m.to_dict() for m in marg],
                      "joint_tv": joint.to_dict()})
-    verdict = _peccati_tudor_verdict(rows, gamma_target, joint_gate)
+    verdict = _peccati_tudor_verdict(rows, gamma_target, PT_JOINT_GATE)
     return ExperimentReport("peccati-tudor", seed, rows, verdict,
                             notes=[f"det Gamma target = {gamma_target:.6f}"])
 
@@ -613,8 +614,7 @@ def _moo_verdict(rows: Sequence[dict], fm_gate: float) -> str:
 @_timed
 def d12_rate_probe(members: Sequence[tuple[float, ChaosElement]],
                    f_inf: ChaosElement, alpha: float, n_samples: int,
-                   seed: int, stability_factor: float = 3.0,
-                   trunc: float = 1e-8, workers: int = 1) -> ExperimentReport:
+                   seed: int, workers: int = 1) -> ExperimentReport:
     """TV rate against the D^{1,2} norm of the gap.
 
     The squared norm E[(F_n - F_inf)^2] + E||D(F_n - F_inf)||^2 is exact;
@@ -629,7 +629,7 @@ def d12_rate_probe(members: Sequence[tuple[float, ChaosElement]],
     expo = alpha / (alpha + 2.0)
     grad_sq = carre_du_champ(f_inf, f_inf)
     gvals = sample(grad_sq, n_samples, rng.derive(seed, 1), workers=workers).values
-    kept = gvals[gvals >= trunc]
+    kept = gvals[gvals >= D12_TRUNC]
     trunc_mass = 1.0 - kept.size / gvals.size
     neg_moment = float(np.mean(kept ** (-alpha / 2.0))) if kept.size else float("inf")
     ref = sample(f_inf, n_samples, rng.derive(seed, 0), workers=workers)
@@ -643,7 +643,7 @@ def d12_rate_probe(members: Sequence[tuple[float, ChaosElement]],
         fitted = tv.value / dnorm ** expo if dnorm > 0.0 else 0.0
         rows.append({"index": label, "d12_norm": dnorm, "tv": tv.to_dict(),
                      "fitted_c": fitted})
-    verdict = _d12_verdict(rows, stability_factor)
+    verdict = _d12_verdict(rows, D12_STABILITY_FACTOR)
     notes = [f"exponent alpha/(alpha+2) = {expo:.6f} at alpha={alpha}",
              f"E||DF_inf||^-alpha estimate {neg_moment:.6f}, truncated mass {trunc_mass:.2e}"]
     if trunc_mass > 1e-4:
@@ -668,12 +668,12 @@ def _d12_verdict(rows: Sequence[dict], stability_factor: float) -> str:
 # identity suite
 
 def random_element(gen: np.random.Generator, dim: int, max_order: int,
-                   terms: int = 3, with_constant: bool = True) -> ChaosElement:
+                   with_constant: bool = True) -> ChaosElement:
     """A random sparse element for identity checks (orders 1..max_order)."""
     kernels = {}
     for k in range(1, max_order + 1):
         raw = []
-        for _ in range(int(gen.integers(1, terms + 1))):
+        for _ in range(int(gen.integers(1, RANDOM_ELEMENT_TERMS + 1))):
             idx = tuple(sorted(gen.integers(1, dim + 1, size=k).tolist()))
             raw.append((idx, float(gen.uniform(-1.0, 1.0))))
         if gen.random() < 0.8:
@@ -694,8 +694,7 @@ def _coeff_gap(a: ChaosElement, b: ChaosElement) -> float:
 
 
 @_timed
-def identity_suite(trials: int, seed: int,
-                   gate: float = IDENTITY_GATE) -> ExperimentReport:
+def identity_suite(trials: int, seed: int) -> ExperimentReport:
     """Exact algebraic identities on random sparse elements.
 
     Bundles the pointwise product law, the two routes to the carre du
@@ -752,8 +751,8 @@ def identity_suite(trials: int, seed: int,
                     c = covariance(project(f, k1), project(g, k2))
                     dev["orthogonality"] = max(dev["orthogonality"], abs(c))
 
-    rows = [{"identity": name, "max_deviation": d, "passed": bool(d <= gate)}
+    rows = [{"identity": name, "max_deviation": d, "passed": bool(d <= IDENTITY_GATE)}
             for name, d in dev.items()]
     verdict = _all_rows_verdict(rows)
     return ExperimentReport("identities", seed, rows, verdict,
-                            notes=[f"{trials} random trials, gate {gate}"])
+                            notes=[f"{trials} random trials, gate {IDENTITY_GATE}"])

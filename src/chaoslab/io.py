@@ -9,9 +9,12 @@ The idx arrays must be sorted ascending; order, dim and idx labels must
 be integers, and coef and constant finite numbers (a bool is neither).
 The parser rejects other input and reports the offending location
 JSON-pointer style.  value() and field() are the one set of JSON field
-checks; the CLI reads its configs through them too.  Writes go through a
-temp file and an atomic rename, and serialization sorts keys, so
-identical runs produce byte-identical files.
+checks; the CLI reads its configs through them too, and load_config()
+records which keys were read so that reject_unread() can refuse the rest.
+Writes go through a temp file and an atomic rename, and serialization
+sorts keys, so identical runs produce byte-identical files.  Nothing
+non-finite is written: serialization refuses NaN and infinities, naming
+the first one JSON-pointer style, before any file is created.
 """
 
 from __future__ import annotations
@@ -83,6 +86,31 @@ def field(obj, key: str, kind, where: str, default=_REQUIRED, nonempty: bool = F
     return out
 
 
+class _ReadDict(dict):
+    """A JSON object that records the keys read through obj[key]."""
+
+    def __init__(self, obj: dict):
+        super().__init__(obj)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def reject_unread(obj, where: str) -> None:
+    """Raise SchemaError naming the first key of a load_config() tree that
+    was never read with obj[key], depth first in document order."""
+    if isinstance(obj, _ReadDict):
+        for key, val in dict.items(obj):
+            if key not in obj.read:
+                raise SchemaError(f"{where}/{key}: unknown field")
+            reject_unread(val, f"{where}/{key}")
+    elif isinstance(obj, list):
+        for i, val in enumerate(obj):
+            reject_unread(val, f"{where}/{i}")
+
+
 def kernel_to_dict(ker: SymmetricKernel) -> dict:
     entries = [{"idx": list(idx), "coef": c}
                for idx, c in sorted(ker.entries.items())]
@@ -142,8 +170,36 @@ def report_from_dict(obj: dict, where: str = "/report") -> ExperimentReport:
         notes=field(obj, "notes", [str], where, default=[]))
 
 
-def dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _nonfinite(obj, where: str) -> str | None:
+    """Location of the first NaN or infinity in obj, in sorted-key order."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else where
+    if isinstance(obj, dict):
+        items = ((key, obj[key]) for key in sorted(obj))
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return None
+    for key, val in items:
+        found = _nonfinite(val, f"{where}/{key}")
+        if found is not None:
+            return found
+    return None
+
+
+def _json(obj, where: str, **kwargs) -> str:
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False, **kwargs)
+    except ValueError:
+        loc = _nonfinite(obj, where)
+        if loc is None:
+            raise
+        raise SchemaError(f"{loc}: expected a finite number") from None
+
+
+def dumps(obj: dict, where: str = "") -> str:
+    """obj as sorted, indented JSON; SchemaError names a non-finite value."""
+    return _json(obj, where, indent=2) + "\n"
 
 
 def write_atomic(path: str, write, newline: str | None = None) -> None:
@@ -161,16 +217,22 @@ def write_atomic(path: str, write, newline: str | None = None) -> None:
         raise
 
 
-def write_json_atomic(obj: dict, path: str) -> None:
-    write_atomic(path, lambda fh: fh.write(dumps(obj)))
+def write_json_atomic(obj: dict, path: str, where: str = "") -> None:
+    text = dumps(obj, where)
+    write_atomic(path, lambda fh: fh.write(text))
 
 
-def load_json(path: str) -> dict:
+def load_json(path: str, object_hook=None) -> dict:
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_hook=object_hook)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def load_config(path: str) -> dict:
+    """A JSON config whose objects record the keys read; see reject_unread()."""
+    return load_json(path, object_hook=_ReadDict)
 
 
 def load_kernel(path: str) -> SymmetricKernel:
@@ -178,7 +240,7 @@ def load_kernel(path: str) -> SymmetricKernel:
 
 
 def save_kernel(ker: SymmetricKernel, path: str) -> None:
-    write_json_atomic(kernel_to_dict(ker), path)
+    write_json_atomic(kernel_to_dict(ker), path, "kernel")
 
 
 def load_chaos(path: str) -> ChaosElement:
@@ -186,7 +248,7 @@ def load_chaos(path: str) -> ChaosElement:
 
 
 def save_chaos(fel: ChaosElement, path: str) -> None:
-    write_json_atomic(chaos_to_dict(fel), path)
+    write_json_atomic(chaos_to_dict(fel), path, "chaos")
 
 
 def load_report(path: str) -> ExperimentReport:
@@ -194,12 +256,34 @@ def load_report(path: str) -> ExperimentReport:
 
 
 def save_report(rep: ExperimentReport, path: str) -> None:
-    write_json_atomic(report_to_dict(rep), path)
+    write_json_atomic(report_to_dict(rep), path, "report")
+
+
+def save_rows_csv(rep: ExperimentReport, path: str) -> None:
+    """The report rows as CSV: one column per row key, each cell as JSON."""
+    cols: list[str] = []
+    for row in rep.rows:
+        for key in row:
+            if key not in cols:
+                cols.append(key)
+    cells = [[_json(row.get(c), f"report/rows/{i}/{c}") for c in cols]
+             for i, row in enumerate(rep.rows)]
+
+    def write(fh) -> None:
+        writer = csv.writer(fh)
+        writer.writerow(cols)
+        writer.writerows(cells)
+
+    write_atomic(path, write, newline="")
 
 
 def save_samples_csv(batch: SampleBatch, path: str) -> None:
-    """One row per sample; header 'value' for scalars, 'x1,...' for vectors."""
+    """One row per sample; header 'value' for scalars, 'x1,...' for vectors.
+    A batch holding a NaN or an infinity is refused before any file exists."""
     vals = np.asarray(batch.values)
+    bad = np.argwhere(~np.isfinite(vals))
+    if bad.size:
+        raise SchemaError(f"samples/{'/'.join(map(str, bad[0]))}: expected a finite number")
 
     def write(fh) -> None:
         writer = csv.writer(fh)

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -215,6 +217,40 @@ class TestSmallBall:
             small_ball(gauss(155, 20_000), 0.0)
         with pytest.raises(ValueError, match="10000"):
             small_ball(gauss(156, 500), 1.0)
+
+
+class TestClopperPearson:
+    """small_ball's interval uses scipy.special.betaincinv, so importing
+    chaoslab does not load scipy.stats; beta.ppf stays the oracle here."""
+
+    @staticmethod
+    def _cases():
+        for n in (10_000, 100_000, 1_000_000):
+            for k in (1, 2, 3, 17, 250, n // 3, n // 2, n - 250, n - 17, n - 2, n - 1):
+                yield 0.025, k, n - k + 1   # lower end at k successes
+                yield 0.975, k + 1, n - k   # upper end at k successes
+
+    def test_betaincinv_matches_beta_ppf_bit_for_bit(self):
+        from scipy.special import betaincinv
+        from scipy.stats import beta
+        for q, a, b in self._cases():
+            assert betaincinv(a, b, q) == beta.ppf(q, a, b), (q, a, b)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5000, 9998, 9999, 10_000])
+    def test_small_ball_interval(self, k):
+        from scipy.stats import beta
+        n = 10_000
+        x = np.where(np.arange(n) < k, 0.5, 3.0)
+        est = small_ball(x, 1.0)
+        assert est.value == k / n
+        assert est.ci_low == (0.0 if k == 0 else float(beta.ppf(0.025, k, n - k + 1)))
+        assert est.ci_high == (1.0 if k == n else float(beta.ppf(0.975, k + 1, n - k)))
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        code = "import sys, chaoslab; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestEstimateContract:

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -14,10 +15,12 @@ from chaoslab import (MultilinearSpec, SequenceSpec,
                       peccati_tudor_run, rademacher_average,
                       sample_multilinear, shigekawa_rate, single_integral,
                       variance)
-from chaoslab import rng
+from chaoslab import ChaosElement, distances, experiments, rng
 from chaoslab.chaos import _SAMPLE_BLOCK
-from chaoslab.experiments import (_moo_verdict,
-                                  _peccati_tudor_verdict, _shigekawa_verdict)
+from chaoslab.experiments import (D12_STABILITY_FACTOR, DM_SLOPE_SLACK,
+                                  DM_STABILITY_FACTOR, _d12_verdict, _dm_verdict,
+                                  _moo_verdict, _peccati_tudor_verdict,
+                                  _shigekawa_verdict)
 
 X_CUBED = linear_combine([
     (1.0, single_integral(make_kernel(3, 1, [((1, 1, 1), 1.0)]))),
@@ -393,3 +396,46 @@ class TestVerdictsRecomputable:
         assert r1.rows[0]["fourth_moment"] == r2.rows[0]["fourth_moment"]
         assert r1.rows[0]["variance"] == r2.rows[0]["variance"]
         assert r1.rows[0]["tv"] != r2.rows[0]["tv"]  # estimates move with the seed
+
+
+class TestFixedGates:
+    """Gates are module constants, not parameters: a verdict is recomputed
+    from the stored rows and those constants alone."""
+
+    def test_dm_verdict_from_rows_and_constants(self):
+        base = make_kernel(2, 2, [((1, 1), 1.0 / math.sqrt(2.0))])
+        direction = make_kernel(2, 2, [((1, 2), 0.5)])
+        perts = [(2.0 ** -j, direction) for j in range(1, 5)]
+        rep = dm_rate(2, base, perts, 20_000, seed=5)
+        verdict, slope = _dm_verdict(rep.rows, 0.25, DM_SLOPE_SLACK, DM_STABILITY_FACTOR)
+        assert verdict == rep.verdict
+        assert f"log-log slope = {slope:.4f}" in rep.notes
+
+    def test_d12_verdict_from_rows_and_constants(self):
+        a = 1.0 / math.sqrt(6.0)
+        limit = single_integral(make_kernel(2, 4, [((1, 1), a), ((2, 2), a), ((3, 3), a)]))
+        direction = single_integral(make_kernel(2, 4, [((1, 2), 0.5)]))
+        members = [(t, linear_combine([(1.0, limit), (t, direction)]))
+                   for t in (0.5, 0.25, 0.125)]
+        rep = d12_rate_probe(members, limit, 2.0, 20_000, seed=5)
+        assert _d12_verdict(rep.rows, D12_STABILITY_FACTOR) == rep.verdict
+
+    def test_settings_are_not_parameters(self):
+        removed = {
+            experiments.shigekawa_rate: {"tv_threshold", "ratio_slack", "fm_floor"},
+            experiments.dm_rate: {"slope_slack", "stability_factor"},
+            experiments.carbery_wright_probe: {"gate"},
+            experiments.df_small_ball_probe: {"gate"},
+            experiments.identity_suite: {"gate"},
+            experiments.peccati_tudor_run: {"joint_gate"},
+            experiments.d12_rate_probe: {"stability_factor", "trunc"},
+            experiments.random_element: {"terms"},
+            distances.tv_vs_density: {"grid_points"},
+            distances.tv_two_samples: {"bins"},
+            distances.tv_multivariate: {"grid_cells"},
+        }
+        for fn, names in removed.items():
+            assert not names & set(inspect.signature(fn).parameters), fn.__name__
+        assert "fm_gate" in inspect.signature(experiments.moo_invariance).parameters
+        assert not hasattr(experiments.ExperimentReport, "row_values")
+        assert not hasattr(ChaosElement, "kernel")

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from chaoslab import cli, io
 from chaoslab import (basis_element, constant_element, make_kernel,
                       sample)
+from chaoslab.chaos import SampleBatch
 from chaoslab.experiments import ExperimentReport
 from helpers import nonzero_kernel, random_element
 
@@ -515,3 +517,99 @@ class TestCliFuzz:
                              "--out", out])
             assert code in (0, 2)
             assert os.path.exists(out) == (code == 0)
+
+
+class TestUnknownConfigKeys:
+    """A config key that no reader asks for (a typo, or a field that another
+    field makes unused) exits 2 naming it, before anything is sampled."""
+
+    K2 = TestConfigExitCodes.K2
+    SPEC = {"coeffs": [{"subset": [1], "c": 1.0}]}
+
+    @pytest.mark.parametrize("experiment, cfg, where", [
+        ("fourth-moment", {"indices": [6], "fromat": "csv"}, "config/fromat"),
+        ("d12", {"alpha": 1.0, "base": K2, "direction": K2B, "scales": [0.5],
+                 "members": ["m.json"]}, "config/members"),
+        ("moo", {"specs": [{**SPEC, "valeus": [1.0]}]}, "config/specs/0/valeus"),
+        ("moo", {"sizes": [2], "specs": [SPEC]}, "config/specs"),
+        ("shigekawa", {"p": 2, "indices": [2], "members": ["m.json"],
+                       "limit": "standard-gaussian"}, "config/members"),
+        ("dm", {"k": 2, "base": {**K2, "note": "x"}, "direction": K2B, "scales": [0.5]},
+         "config/base/note"),
+        ("dm", {"k": 2, "base": K2, "direction": K2B, "scales": [0.5],
+                "output": "r.json", "extra": 1}, "config/extra"),
+        ("cw", {"chaos": {**H2_DICT, "kernels": [{**H2_DICT["kernels"][0], "x": 1}]},
+                "alphas": [1.0]}, "config/chaos/kernels/0/x"),
+    ])
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, experiment, cfg, where):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 4, "n_samples": 10_000, **cfg}))
+        out = tmp_path / "rep.json"
+        assert cli.main(["verify", experiment, "--config", str(cfg_path),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {where}: unknown field\n"
+        assert not out.exists()
+
+    def test_chaos_file_reference_is_read(self, tmp_path, chaos_file):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 1, "n_samples": 10_000,
+                                        "chaos": {"file": chaos_file}, "alphas": [1.0]}))
+        assert cli.main(["verify", "cw", "--config", str(cfg_path)]) == 0
+
+
+BIG_DICT = {"dim": 2, "constant": 0.0, "kernels": [
+    {"order": 2, "dim": 2, "entries": [{"idx": [1, 1], "coef": 1e308}]}]}
+
+
+class TestNonFiniteResults:
+    """Finite inputs whose results overflow exit 2: nothing non-finite is
+    printed and no file is written."""
+
+    @pytest.fixture
+    def big_file(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(BIG_DICT))
+        return str(path)
+
+    def test_moments_print_nothing(self, big_file, capsys):
+        assert cli.main(["moments", "--chaos", big_file, "--max", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: m2: expected a finite number" in captured.err
+
+    def test_eval(self, big_file, capsys):
+        assert cli.main(["eval", "--chaos", big_file, "--point", "2,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: eval: expected a finite number" in captured.err
+
+    def test_sample_writes_no_file(self, big_file, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert cli.main(["sample", "--chaos", big_file, "-n", "10", "--seed", "1",
+                         "--out", str(out)]) == 2
+        assert "error: samples/" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["big.json"]
+
+    @pytest.mark.parametrize("fmt, save", [("json", True), ("csv", True), ("json", False)])
+    def test_verify_pt_overflow(self, tmp_path, capsys, fmt, save):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 1, "n_samples": 10_000, "indices": [2],
+                                        "covariance": [[1e308, 0.0], [0.0, 1.0]],
+                                        "format": fmt}))
+        out = tmp_path / "rep.out"
+        argv = ["verify", "pt", "--config", str(cfg_path)] + (["--out", str(out)] if save else [])
+        assert cli.main(argv) == 2
+        assert "error: report/rows/0/gram_gap: expected a finite number" in \
+            capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    def test_writers_name_the_first_non_finite_value(self, tmp_path):
+        rep = ExperimentReport("demo", 1, [{"a": 1.0, "b": {"c": [0.0, float("nan")]}},
+                                           {"a": float("inf")}], "pass")
+        for save in (io.save_report, io.save_rows_csv):
+            with pytest.raises(io.SchemaError, match="^report/rows/0/b/c/1: expected a finite"):
+                save(rep, str(tmp_path / "r.out"))
+        vec = SampleBatch(np.array([[0.0, 1.0], [2.0, -np.inf]]), 1, "demo")
+        with pytest.raises(io.SchemaError, match="^samples/1/1: expected a finite"):
+            io.save_samples_csv(vec, str(tmp_path / "s.csv"))
+        assert os.listdir(tmp_path) == []
