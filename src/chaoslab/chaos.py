@@ -7,9 +7,12 @@ every moment a finite exact computation; the Malliavin derivative,
 carre du champ and Ornstein-Uhlenbeck generator are kernel surgery.
 
 Multiplication is capped at total order ORDER_CAP, the same cap that
-bounds kernel orders in kernels.py, to bound the combinatorial blowup;
-the cap covers fourth moments of order-2 elements and squares of
-order-4 elements, which is everything the experiments need.
+bounds kernel orders in kernels.py, to bound the combinatorial blowup.
+moment(F, m) by repeated products refuses m * max_order > ORDER_CAP,
+which covers fourth moments of order-2 elements and squares of order-4
+elements.  Third and fourth moments of a single chaos I_q(f) come from
+contractions of f with itself instead and are capped only by the largest
+order they build: q for m = 3, 2q - 2 for m = 4.
 """
 
 from __future__ import annotations
@@ -218,14 +221,24 @@ def variance(fel: ChaosElement) -> float:
 
 
 def moment(fel: ChaosElement, m: int) -> float:
-    """Exact E[F^m] via repeated products and the orthogonality pairing.
+    """Exact E[F^m].
 
-    The power is split as F^a * F^(m-a) with a = m // 2 so only orders up
-    to ceil(m/2) * max_order are ever materialized; the expectation of
-    the final product is read off through the isometry.
+    A single chaos F = I_q(f) (zero constant, one kernel) with m = 3 or 4
+    takes the contraction-norm formulas of _single_chaos_moment, which
+    never build F^2; they build kernels of order at most q (m = 3) or
+    2q - 2 (m = 4), and raise OrderCapError when that exceeds ORDER_CAP.
+
+    Every other input takes the product route: F^b is built by repeated
+    products, b = ceil(m/2), and E[F^a F^b] with a = m // 2 is read off
+    through the isometry.  It raises OrderCapError when
+    m * max_order > ORDER_CAP, a stricter check than the largest order it
+    builds, b * max_order.
     """
     if m < 1:
         raise ValueError("moment order must be >= 1")
+    if m in (3, 4) and fel.constant == 0.0 and len(fel.kernels) == 1:
+        (f,) = fel.kernels.values()
+        return _single_chaos_moment(f, m)
     if m * fel.max_order > ORDER_CAP:
         raise OrderCapError(
             f"moment {m} of an order-{fel.max_order} element exceeds cap {ORDER_CAP}")
@@ -237,6 +250,39 @@ def moment(fel: ChaosElement, m: int) -> float:
     for j in range(2, b + 1):
         powers[j] = multiply(powers[j - 1], fel)
     return expectation_of_product(powers[a], powers[b])
+
+
+def _single_chaos_moment(f: SymmetricKernel, m: int) -> float:
+    """E[I_q(f)^m] for m = 3 or 4 from contractions of f with itself.
+
+    m = 4 (Nualart-Peccati 2005; Nourdin-Peccati 2012, ch. 5):
+        E[F^4] = 3 sigma^4 + (3/q) sum_{r=1}^{q-1} r (r!)^2 C(q,r)^4 (2q-2r)!
+                 ||f sym-contract_r f||^2,   sigma^2 = q! ||f||^2,
+    computed with the integer (3/q) r C(q,r)^4 = 3 C(q-1,r-1) C(q,r)^3.
+    m = 3: the order-q term of F^2 paired with F,
+        E[F^3] = q! (q/2)! C(q,q/2)^2 <f, f sym-contract_{q/2} f>  (q even),
+    and 0 for odd q, where F^2 has no order-q term.
+    At q = 2 these are 3 sigma^4 + 48 tr(A^4) and 8 tr(A^3).
+    """
+    q = f.order
+    built = q if m == 3 else 2 * q - 2
+    if built > ORDER_CAP:
+        raise OrderCapError(
+            f"moment {m} of a single order-{q} chaos builds order {built}, "
+            f"above cap {ORDER_CAP}")
+    if m == 3:
+        if q % 2:
+            return 0.0
+        h = q // 2
+        weight = math.factorial(q) * math.factorial(h) * math.comb(q, h) ** 2
+        return weight * inner(f, sym_contract(f, f, h))
+    sigma2 = math.factorial(q) * f.norm_sq()
+    total = 3.0 * sigma2 * sigma2
+    for r in range(1, q):
+        weight = (3 * math.comb(q - 1, r - 1) * math.comb(q, r) ** 3
+                  * math.factorial(r) ** 2 * math.factorial(2 * q - 2 * r))
+        total += weight * sym_contract(f, f, r).norm_sq()
+    return total
 
 
 def evaluate_batch(fel: ChaosElement, x: np.ndarray) -> np.ndarray:
