@@ -21,6 +21,7 @@ import numpy as np
 from . import io
 from .chaos import (ChaosElement, basis_element, evaluate, moment, sample,
                     single_integral)
+from .distances import MIN_SAMPLES, MIN_SAMPLES_FINE
 from .experiments import (ExperimentReport, MultilinearSpec, SequenceSpec,
                           carbery_wright_probe, d12_rate_probe,
                           df_small_ball_probe, dm_rate,
@@ -32,7 +33,7 @@ VERIFY_EXPERIMENTS = ("fourth-moment", "shigekawa", "dm", "cw", "dball",
                       "pt", "moo", "d12")
 
 
-def _cfg_samples(cfg: dict, minimum: int = 1000) -> int:
+def _cfg_samples(cfg: dict, minimum: int = MIN_SAMPLES) -> int:
     n = io.field(cfg, "n_samples", int, "config")
     if n < minimum:
         raise io.SchemaError(f"config/n_samples: need at least {minimum} for distance estimation")
@@ -105,17 +106,17 @@ def _verify_call(name: str, cfg: dict, workers: int):
     if name == "cw":
         return partial(carbery_wright_probe, _chaos_from_config(cfg, "chaos"),
                        io.field(cfg, "alphas", [float], "config", nonempty=True),
-                       _cfg_samples(cfg, 10_000), seed, workers=workers)
+                       _cfg_samples(cfg, MIN_SAMPLES_FINE), seed, workers=workers)
     if name == "dball":
         return partial(df_small_ball_probe, _chaos_from_config(cfg, "chaos"),
                        io.field(cfg, "lambdas", [float], "config", nonempty=True),
-                       _cfg_samples(cfg, 10_000), seed, workers=workers)
+                       _cfg_samples(cfg, MIN_SAMPLES_FINE), seed, workers=workers)
     if name == "pt":
         cov = np.asarray(io.field(cfg, "covariance", [[float]], "config",
                                   default=[[1.0, 0.0], [0.0, 1.0]]), dtype=float)
         vectors = [(float(n), pair_sum_vector(n)) for n in _counts(cfg, "indices")]
-        return partial(peccati_tudor_run, [1, 2], vectors, cov, _cfg_samples(cfg, 10_000),
-                       seed, workers=workers)
+        return partial(peccati_tudor_run, [1, 2], vectors, cov,
+                       _cfg_samples(cfg, MIN_SAMPLES_FINE), seed, workers=workers)
     if name == "moo":
         specs = _moo_specs(cfg)
         return partial(moo_invariance, specs, _cfg_samples(cfg), seed, workers=workers)

@@ -36,6 +36,8 @@ from .chaos import SampleBatch
 KDE_GRID_POINTS = 2048   # tv_vs_density grid
 TV_MIN_BINS = 20         # tv_two_samples: max(TV_MIN_BINS, floor(min(N)^(1/3))) bins
 GRID2D_CELLS = 40        # tv_multivariate cells per axis
+MIN_SAMPLES = 1000       # tv_vs_density, tv_two_samples, fm_two_samples (per set)
+MIN_SAMPLES_FINE = 10_000  # small_ball, tv_multivariate
 
 
 class DegenerateSampleError(ValueError):
@@ -58,29 +60,35 @@ class DistanceEstimate:
                 "ci": [self.ci_low, self.ci_high], "n": list(self.n_samples)}
 
 
-def _values(batch) -> np.ndarray:
-    if isinstance(batch, SampleBatch):
-        return np.asarray(batch.values)
-    return np.asarray(batch, dtype=float)
-
-
-def _scalar_values(batch) -> np.ndarray:
-    vals = _values(batch)
-    if vals.ndim != 1:
-        raise ValueError(f"expected scalar samples, got shape {vals.shape}")
-    return vals
+def _samples(batch, minimum: int = 1, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """The values of a SampleBatch or array: at least minimum rows of the
+    given shape (() for scalars, (d,) in dimension d), all finite; the
+    first value that is not is named by its sample (/coordinate) index."""
+    x = np.asarray(batch.values if isinstance(batch, SampleBatch) else batch, dtype=float)
+    if x.ndim != len(shape) + 1 or x.shape[1:] != shape:
+        what = f"samples in d = {shape[0]}" if shape else "scalar samples"
+        raise ValueError(f"expected {what}, got shape {x.shape}")
+    if x.shape[0] < minimum:
+        raise ValueError(f"need at least {minimum} samples, got {x.shape[0]}")
+    finite = np.isfinite(x)
+    if not finite.all():
+        first = tuple(np.argwhere(~finite)[0])
+        raise ValueError(f"sample {'/'.join(map(str, first))} is not finite: {x[first]}")
+    return x
 
 
 def _finish(point: float, boots: np.ndarray, method: str,
-            counts: tuple[int, ...]) -> DistanceEstimate:
+            counts: tuple[int, ...], cap: float | None = None) -> DistanceEstimate:
     if boots.size:
         lo, hi = np.percentile(boots, [2.5, 97.5])
     else:
         lo = hi = point
     # percentile CIs occasionally miss the point estimate; widen so the
     # invariant ci_low <= value <= ci_high always holds
-    return DistanceEstimate(float(point), float(min(lo, point)),
-                            float(max(hi, point)), method, counts)
+    lo, hi = min(lo, point), max(hi, point)
+    if cap is not None:
+        point, lo, hi = min(point, cap), min(lo, cap), min(hi, cap)
+    return DistanceEstimate(float(point), float(lo), float(hi), method, counts)
 
 
 def _bootstrap(stat, samples: list[tuple[np.ndarray, int]], n_boot: int,
@@ -102,11 +110,18 @@ def _bootstrap(stat, samples: list[tuple[np.ndarray, int]], n_boot: int,
         for arg, (n, p) in zip(rows, probs):
             arg.append(gen.multinomial(n, p))
     vals = stat(*map(np.stack, rows))
-    est = _finish(vals[0], vals[1:], method, tuple(n for _, n in samples))
-    if cap is None:
-        return est
-    return DistanceEstimate(min(est.value, cap), min(est.ci_low, cap),
-                            min(est.ci_high, cap), method, est.n_samples)
+    return _finish(vals[0], vals[1:], method, tuple(n for _, n in samples), cap)
+
+
+def _pooled_counts(x1: np.ndarray, x2: np.ndarray, bins: int):
+    """Counts of both sets on bins equal cells over their pooled range, and
+    the cell width; None when every value of both sets is the same."""
+    lo = min(float(x1.min()), float(x2.min()))
+    hi = max(float(x1.max()), float(x2.max()))
+    if lo == hi:
+        return None
+    edges = np.linspace(lo, hi, bins + 1)
+    return np.histogram(x1, edges)[0], np.histogram(x2, edges)[0], edges[1] - edges[0]
 
 
 def normal_cdf(x, mean: float = 0.0, var: float = 1.0):
@@ -127,10 +142,8 @@ def tv_vs_density(batch, mean: float = 0.0, var: float = 1.0,
     |kde - target| plus the target mass beyond the grid.  Bootstrap
     resamples the bin counts with the bandwidth held fixed.
     """
-    x = _scalar_values(batch)
+    x = _samples(batch, MIN_SAMPLES)
     n = x.size
-    if n < 1000:
-        raise ValueError(f"need at least 1000 samples, got {n}")
     sigma = float(np.std(x, ddof=1))
     if sigma == 0.0:
         raise DegenerateSampleError("sample standard deviation is zero")
@@ -164,18 +177,12 @@ def tv_two_samples(s1, s2, n_boot: int = 200, seed: int = 0) -> DistanceEstimate
     The bin count is max(20, floor(min(N)^(1/3))) over the pooled range.
     Upward-biased at finite N; identical inputs give exactly 0.
     """
-    x1, x2 = _scalar_values(s1), _scalar_values(s2)
+    x1, x2 = _samples(s1, MIN_SAMPLES), _samples(s2, MIN_SAMPLES)
     n1, n2 = x1.size, x2.size
-    if min(n1, n2) < 1000:
-        raise ValueError(f"need at least 1000 samples per set, got {n1}, {n2}")
-    bins = max(TV_MIN_BINS, int(min(n1, n2) ** (1.0 / 3.0)))
-    lo = min(float(x1.min()), float(x2.min()))
-    hi = max(float(x1.max()), float(x2.max()))
-    if lo == hi:
+    pooled = _pooled_counts(x1, x2, max(TV_MIN_BINS, int(min(n1, n2) ** (1.0 / 3.0))))
+    if pooled is None:
         return DistanceEstimate(0.0, 0.0, 0.0, "tv-hist", (n1, n2))
-    edges = np.linspace(lo, hi, bins + 1)
-    c1 = np.histogram(x1, edges)[0]
-    c2 = np.histogram(x2, edges)[0]
+    c1, c2, _ = pooled
 
     def stat(a, b) -> np.ndarray:
         return 0.5 * np.abs(a / n1 - b / n2).sum(axis=1)
@@ -190,18 +197,14 @@ def tv_multivariate(batch, cov, n_boot: int = 200, seed: int = 0) -> DistanceEst
     density at the center times cell area, and mass escaping the grid is
     counted once from each side.
     """
-    x = _values(batch)
-    if x.ndim != 2 or x.shape[1] != 2:
-        raise ValueError("tv_multivariate supports exactly d = 2")
+    x = _samples(batch, MIN_SAMPLES_FINE, shape=(2,))
+    n = x.shape[0]
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (2, 2):
         raise ValueError("covariance must be 2x2")
     eigvals = np.linalg.eigvalsh(0.5 * (cov + cov.T))
     if eigvals.min() <= 0.0:
         raise ValueError("covariance must be positive definite")
-    n = x.shape[0]
-    if n < 10_000:
-        raise ValueError(f"need at least 10000 samples, got {n}")
 
     half = 4.0 * math.sqrt(float(cov.diagonal().max()))
     edges = np.linspace(-half, half, GRID2D_CELLS + 1)
@@ -273,18 +276,13 @@ def fm_two_samples(s1, s2, cells: int = 512, levels: int = 201,
     the attained maximum: a lower bound of the supremum over the
     discretized class that converges as cells and levels grow.
     """
-    x1, x2 = _scalar_values(s1), _scalar_values(s2)
+    x1, x2 = _samples(s1, MIN_SAMPLES), _samples(s2, MIN_SAMPLES)
     n1, n2 = x1.size, x2.size
-    if min(n1, n2) < 1000:
-        raise ValueError(f"need at least 1000 samples per set, got {n1}, {n2}")
-    lo = min(float(x1.min()), float(x2.min()))
-    hi = max(float(x1.max()), float(x2.max()))
-    if lo == hi:
+    pooled = _pooled_counts(x1, x2, cells)
+    if pooled is None:
         return DistanceEstimate(0.0, 0.0, 0.0, "fm-dp", (n1, n2))
-    edges = np.linspace(lo, hi, cells + 1)
-    lv, window = _fm_lattice(edges[1] - edges[0], levels, cells)
-    c1 = np.histogram(x1, edges)[0]
-    c2 = np.histogram(x2, edges)[0]
+    c1, c2, dx = pooled
+    lv, window = _fm_lattice(dx, levels, cells)
 
     def stat(a, b) -> np.ndarray:
         return _fm_stat(a / n1 - b / n2, lv, window)
@@ -294,7 +292,7 @@ def fm_two_samples(s1, s2, cells: int = 512, levels: int = 201,
 
 def wasserstein1(s1, s2, n_boot: int = 200, seed: int = 0) -> DistanceEstimate:
     """Exact empirical W1 between equal-size sample sets: mean sorted gap."""
-    x1, x2 = _scalar_values(s1), _scalar_values(s2)
+    x1, x2 = _samples(s1), _samples(s2)
     if x1.size != x2.size:
         raise ValueError(f"sample sizes differ: {x1.size} vs {x2.size}")
     n = x1.size
@@ -314,10 +312,8 @@ def small_ball(batch, alpha: float) -> DistanceEstimate:
     """P(|value| <= alpha) with an exact Clopper-Pearson 95% interval."""
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    x = _scalar_values(batch)
+    x = _samples(batch, MIN_SAMPLES_FINE)
     n = x.size
-    if n < 10_000:
-        raise ValueError(f"need at least 10000 samples, got {n}")
     k = int(np.count_nonzero(np.abs(x) <= alpha))
     p = k / n
     lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, 0.025))

@@ -520,8 +520,11 @@ def peccati_tudor_run(k_list: Sequence[int],
     d = len(k_list)
     if d != 2:
         raise ValueError("vector experiment supports exactly d = 2")
-    if cov.shape != (2, 2) or np.linalg.det(cov) <= 0.0:
-        raise ValueError("target covariance must be 2x2 with positive determinant")
+    # Sylvester's test; unlike eigvalsh(0.5 * (cov + cov.T)) it cannot overflow
+    if (cov.shape != (2, 2) or not (cov == cov.T).all()
+            or not (cov[0, 0] > 0.0 and np.linalg.det(cov) > 0.0)):
+        raise ValueError("target covariance must be symmetric 2x2 with cov[0,0] > 0 "
+                         "and positive determinant")
     gamma_target = float(np.linalg.det(cov)) * math.prod(k_list)
     rows = []
     for pos, (label, vec) in enumerate(vectors):

@@ -113,10 +113,16 @@ class SymmetricKernel:
         return not self.entries
 
     def scale(self, a: float) -> "SymmetricKernel":
-        if a == 0.0:
-            return SymmetricKernel(self.order, self.dim, {})
-        return SymmetricKernel(self.order, self.dim,
-                               {idx: a * c for idx, c in self.entries.items()})
+        """a * self; products that underflow to zero are dropped, and a
+        product that is not finite raises ValueError."""
+        out = {}
+        for idx, c in self.entries.items():
+            v = a * c
+            if not math.isfinite(v):
+                raise ValueError(f"coefficient at index {idx} is not finite: {v}")
+            if v != 0.0:
+                out[idx] = v
+        return SymmetricKernel(self.order, self.dim, out)
 
 
 @dataclass(frozen=True)

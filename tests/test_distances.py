@@ -10,6 +10,7 @@ from chaoslab import (DegenerateSampleError, fm_two_samples, small_ball,
                       tv_multivariate, tv_two_samples, tv_vs_density,
                       wasserstein1)
 from chaoslab import rng
+from chaoslab.chaos import SampleBatch
 from chaoslab.distances import _fm_lattice, normal_cdf, normal_pdf
 
 TV_SHIFT3 = 2.0 * normal_cdf(1.5) - 1.0  # TV of unit normals 3 apart
@@ -293,6 +294,40 @@ class TestEstimateContract:
             y = gauss(trial + 180, 2000, mean=float(gen.uniform(-4, 4)))
             est = tv_two_samples(x, y, n_boot=4, seed=1)
             assert 0.0 <= est.value <= 1.0
+
+
+
+# (estimator, call on its sample sets, sets it takes, sample shape)
+NON_FINITE_CASES = [
+    ("tv_vs_density", lambda s: tv_vs_density(s[0], 0.0, 1.0, seed=1), 1, ()),
+    ("tv_two_samples", lambda s: tv_two_samples(*s, seed=1), 2, ()),
+    ("tv_multivariate", lambda s: tv_multivariate(s[0], np.eye(2), seed=1), 1, (2,)),
+    ("fm_two_samples", lambda s: fm_two_samples(*s, seed=1), 2, ()),
+    ("wasserstein1", lambda s: wasserstein1(*s, seed=1), 2, ()),
+    ("small_ball", lambda s: small_ball(s[0], 1.0), 1, ()),
+]
+
+
+class TestNonFiniteSamples:
+    """Every estimator refuses a sample set holding a NaN or an infinity,
+    naming the first such sample, whether it comes as an array or a
+    SampleBatch and whichever set it is in."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("call, arity, which, shape", [
+        pytest.param(call, arity, which, shape, id=f"{name}-set{which + 1}")
+        for name, call, arity, shape in NON_FINITE_CASES for which in range(arity)])
+    def test_refused_naming_the_sample(self, call, arity, which, shape, bad):
+        d = shape[0] if shape else 1
+        sets = [gauss(200 + i, 10_000 * d).reshape((-1,) + shape) for i in range(arity)]
+        pos = (5,) + (1,) * len(shape)
+        sets[which][pos] = bad
+        sets[which][(7,) + pos[1:]] = math.nan     # a later one is not named
+        sets[0] = SampleBatch(sets[0], 1, "test")
+        with pytest.raises(ValueError,
+                           match=f"^sample {'/'.join(map(str, pos))} is not finite"):
+            call(sets)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaoslab import cli, io
+from chaoslab import cli, experiments, io
 from chaoslab import (basis_element, constant_element, make_kernel,
                       sample)
 from chaoslab.chaos import SampleBatch
@@ -613,3 +613,19 @@ class TestNonFiniteResults:
         with pytest.raises(io.SchemaError, match="^samples/1/1: expected a finite"):
             io.save_samples_csv(vec, str(tmp_path / "s.csv"))
         assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("cov", [[[1.0, 0.5], [0.1, 1.0]],      # not symmetric
+                                 [[-1.0, 0.0], [0.0, -1.0]]])   # det > 0, not definite
+def test_verify_pt_refuses_covariance_before_sampling(tmp_path, capsys, monkeypatch, cov):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the covariance was checked")
+
+    monkeypatch.setattr(experiments, "sample", no_sampling)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 1, "n_samples": 10_000, "indices": [2],
+                                    "covariance": cov}))
+    argv = ["verify", "pt", "--config", str(cfg_path), "--out", str(tmp_path / "rep.json")]
+    assert cli.main(argv) == 2
+    assert "error: target covariance must be symmetric" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]

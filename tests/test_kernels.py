@@ -8,8 +8,8 @@ from numpy.polynomial import hermite_e
 
 from chaoslab import (BipartiteKernel, contract,
                       hermite_eval, inner, kernel_add, make_kernel,
-                      perm_count, slice_label, sym_contract, symmetrize,
-                      zero_kernel)
+                      perm_count, single_integral, slice_label, sym_contract,
+                      symmetrize, zero_kernel)
 from chaoslab.kernels import hermite_table
 from dense_oracle import (dense_from_kernel, dense_sym_contract,
                           dense_symmetrize, dense_from_bipartite,
@@ -98,6 +98,21 @@ class TestMakeKernel:
         b = make_kernel(2, 4, [(idx[::-1], c) for idx, c in raw])
         assert a == b
 
+
+class TestScale:
+    """scale keeps make_kernel's invariants: no stored exact zero, no
+    non-finite coefficient."""
+
+    def test_underflow_to_zero_is_dropped(self):
+        f = make_kernel(2, 2, [((1, 2), 1e-300), ((1, 1), 1.0)])
+        assert f.scale(1e-300).entries == {(1, 1): 1e-300}
+        tiny = make_kernel(2, 2, [((1, 2), 1e-300)])
+        assert tiny.scale(1e-300).is_zero()
+        assert single_integral(tiny, 1e-300).kernels == {}
+
+    def test_overflow_raises(self):
+        with pytest.raises(ValueError, match=r"coefficient at index \(1, 2\) is not finite"):
+            make_kernel(2, 2, [((1, 2), 1e300)]).scale(1e300)
 
 class TestInner:
     def test_repeated_index(self):
