@@ -24,7 +24,7 @@ from .chaos import (ORDER_CAP, ChaosElement, ChaosVector, OrderCapError,
 from .distances import (DegenerateSampleError, DistanceEstimate,
                         fm_two_samples, small_ball, tv_multivariate,
                         tv_two_samples, tv_vs_density, wasserstein1)
-from .experiments import (ExperimentReport, MultilinearSpec, SequenceSpec,
+from .experiments import (ExperimentReport, MultilinearSpec,
                           carbery_wright_probe, d12_rate_probe,
                           df_small_ball_probe, dm_rate,
                           fourth_moment_certificate, identity_suite,

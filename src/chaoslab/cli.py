@@ -22,12 +22,14 @@ from . import io
 from .chaos import (ChaosElement, basis_element, evaluate, moment, sample,
                     single_integral)
 from .distances import MIN_SAMPLES, MIN_SAMPLES_FINE
-from .experiments import (ExperimentReport, MultilinearSpec, SequenceSpec,
+from .experiments import (ExperimentReport, MultilinearSpec,
                           carbery_wright_probe, d12_rate_probe,
                           df_small_ball_probe, dm_rate,
                           fourth_moment_certificate, identity_suite,
-                          moo_invariance, pair_sum_vector, peccati_tudor_run,
-                          rademacher_average, shigekawa_rate)
+                          moo_invariance, pair_sum_element, pair_sum_vector,
+                          peccati_tudor_run, rademacher_average,
+                          shigekawa_rate)
+from .kernels import SymmetricKernel, kernel_add
 
 VERIFY_EXPERIMENTS = ("fourth-moment", "shigekawa", "dm", "cw", "dball",
                       "pt", "moo", "d12")
@@ -63,21 +65,25 @@ def _chaos_from_config(cfg: dict, key: str) -> ChaosElement:
     return _from_config(cfg, key, io.load_chaos, io.chaos_from_dict)
 
 
-def _spec_from_config(cfg: dict, family: str) -> SequenceSpec:
-    """The member family of a config: pair-sum indices, a base + scale *
-    direction perturbation, or chaos files named by members."""
-    if family == "pair-sum":
-        return SequenceSpec(family, indices=tuple(_counts(cfg, "indices")))
-    if family == "custom-files":
-        return SequenceSpec(family, paths=tuple(
-            io.field(cfg, "members", [str], "config", nonempty=True)))
+def _perturbation(cfg: dict) -> tuple[SymmetricKernel, SymmetricKernel, list[float]]:
+    """The base and direction kernels and the scales of a perturbation family."""
     base, direction = (_from_config(cfg, key, io.load_kernel, io.kernel_from_dict)
                        for key in ("base", "direction"))
     if (direction.order, direction.dim) != (base.order, base.dim):
         raise io.SchemaError(f"config/direction: order {direction.order} and dim "
                              f"{direction.dim} must match base ({base.order}, {base.dim})")
-    return SequenceSpec(family, base=base, direction=direction,
-                        scales=tuple(io.field(cfg, "scales", [float], "config", nonempty=True)))
+    return base, direction, io.field(cfg, "scales", [float], "config", nonempty=True)
+
+
+def _pair_sums(cfg: dict) -> list[tuple[float, ChaosElement]]:
+    """The pair sums with the pair counts in indices, labelled by them."""
+    return [(float(n), pair_sum_element(n)) for n in _counts(cfg, "indices")]
+
+
+def _member_files(cfg: dict) -> list[tuple[float, ChaosElement]]:
+    """The chaos files named by members, labelled 0, 1, ..."""
+    paths = io.field(cfg, "members", [str], "config", nonempty=True)
+    return [(float(i), io.load_chaos(p)) for i, p in enumerate(paths)]
 
 
 def _limit_from_config(cfg: dict) -> ChaosElement:
@@ -92,16 +98,16 @@ def _verify_call(name: str, cfg: dict, workers: int):
     seed = io.field(cfg, "seed", int, "config")
     if name == "fourth-moment":
         return partial(fourth_moment_certificate, io.field(cfg, "k", int, "config", default=2),
-                       _spec_from_config(cfg, "pair-sum"), _cfg_samples(cfg), seed,
-                       workers=workers)
+                       _pair_sums(cfg), _cfg_samples(cfg), seed, workers=workers)
     if name == "shigekawa":
-        spec = _spec_from_config(cfg, "pair-sum" if "indices" in cfg else "custom-files")
-        return partial(shigekawa_rate, io.field(cfg, "p", int, "config"), spec.build(),
-                       _limit_from_config(cfg), _cfg_samples(cfg), seed, workers=workers)
+        p = io.field(cfg, "p", int, "config")
+        members = _pair_sums(cfg) if "indices" in cfg else _member_files(cfg)
+        return partial(shigekawa_rate, p, members, _limit_from_config(cfg),
+                       _cfg_samples(cfg), seed, workers=workers)
     if name == "dm":
-        spec = _spec_from_config(cfg, "perturbation")
-        return partial(dm_rate, io.field(cfg, "k", int, "config"), spec.base,
-                       [(t, spec.direction) for t in spec.scales],
+        base, direction, scales = _perturbation(cfg)
+        return partial(dm_rate, io.field(cfg, "k", int, "config"), base,
+                       [(t, direction) for t in scales],
                        _cfg_samples(cfg), seed, workers=workers)
     if name == "cw":
         return partial(carbery_wright_probe, _chaos_from_config(cfg, "chaos"),
@@ -124,12 +130,13 @@ def _verify_call(name: str, cfg: dict, workers: int):
         alpha = io.field(cfg, "alpha", float, "config")
         if "base" in cfg:
             # perturbation family: members I(base + t direction), limit I(base)
-            spec = _spec_from_config(cfg, "perturbation")
-            limit = single_integral(spec.base)
+            base, direction, scales = _perturbation(cfg)
+            members = [(t, single_integral(kernel_add(base, direction.scale(t))))
+                       for t in scales]
+            limit = single_integral(base)
         else:
-            spec = _spec_from_config(cfg, "custom-files")
-            limit = _limit_from_config(cfg)
-        return partial(d12_rate_probe, spec.build(), limit, alpha,
+            members, limit = _member_files(cfg), _limit_from_config(cfg)
+        return partial(d12_rate_probe, members, limit, alpha,
                        _cfg_samples(cfg), seed, workers=workers)
     raise io.SchemaError(f"config/experiment: unknown experiment {name!r}")
 

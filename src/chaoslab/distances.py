@@ -124,6 +124,18 @@ def _pooled_counts(x1: np.ndarray, x2: np.ndarray, bins: int):
     return np.histogram(x1, edges)[0], np.histogram(x2, edges)[0], edges[1] - edges[0]
 
 
+def _covariance_2x2(cov) -> np.ndarray:
+    """cov as a float array, after checking that it is a symmetric positive
+    definite 2x2 matrix by Sylvester's test (cov[0,0] > 0 and det > 0),
+    which unlike the eigenvalues of (cov + cov.T) / 2 cannot overflow."""
+    cov = np.asarray(cov, dtype=float)
+    if (cov.shape != (2, 2) or not (cov == cov.T).all()
+            or not (cov[0, 0] > 0.0 and np.linalg.det(cov) > 0.0)):
+        raise ValueError("target covariance must be symmetric positive definite 2x2 "
+                         "(cov[0,0] > 0 and positive determinant)")
+    return cov
+
+
 def normal_cdf(x, mean: float = 0.0, var: float = 1.0):
     return ndtr((x - mean) / math.sqrt(var))
 
@@ -143,6 +155,10 @@ def tv_vs_density(batch, mean: float = 0.0, var: float = 1.0,
     resamples the bin counts with the bandwidth held fixed.
     """
     x = _samples(batch, MIN_SAMPLES)
+    if not math.isfinite(mean):
+        raise ValueError(f"target mean must be finite, got {mean}")
+    if not (math.isfinite(var) and var > 0.0):
+        raise ValueError(f"target var must be a finite positive number, got {var}")
     n = x.size
     sigma = float(np.std(x, ddof=1))
     if sigma == 0.0:
@@ -199,12 +215,7 @@ def tv_multivariate(batch, cov, n_boot: int = 200, seed: int = 0) -> DistanceEst
     """
     x = _samples(batch, MIN_SAMPLES_FINE, shape=(2,))
     n = x.shape[0]
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (2, 2):
-        raise ValueError("covariance must be 2x2")
-    eigvals = np.linalg.eigvalsh(0.5 * (cov + cov.T))
-    if eigvals.min() <= 0.0:
-        raise ValueError("covariance must be positive definite")
+    cov = _covariance_2x2(cov)
 
     half = 4.0 * math.sqrt(float(cov.diagonal().max()))
     edges = np.linspace(-half, half, GRID2D_CELLS + 1)
@@ -310,7 +321,7 @@ def wasserstein1(s1, s2, n_boot: int = 200, seed: int = 0) -> DistanceEstimate:
 
 def small_ball(batch, alpha: float) -> DistanceEstimate:
     """P(|value| <= alpha) with an exact Clopper-Pearson 95% interval."""
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     x = _samples(batch, MIN_SAMPLES_FINE)
     n = x.size

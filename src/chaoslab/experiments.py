@@ -1,6 +1,6 @@
 """One runnable experiment per quantitative convergence statement.
 
-Each experiment builds a family of chaos elements, computes everything
+Each experiment takes a family of chaos elements, computes everything
 that has a closed form exactly through the moment engine, estimates the
 statistical distances by Monte Carlo, and emits a report whose verdict
 is a pure function of the stored rows.  Quantities labeled exact are
@@ -32,8 +32,8 @@ from .chaos import (ChaosElement, ChaosVector, OrderCapError, SampleBatch,
                     gaussian_matrix, linear_combine, malliavin_matrix, mderiv,
                     moment, multiply, project, sample, single_integral,
                     variance)
-from .distances import (fm_two_samples, small_ball, tv_multivariate,
-                        tv_two_samples, tv_vs_density)
+from .distances import (_covariance_2x2, fm_two_samples, small_ball,
+                        tv_multivariate, tv_two_samples, tv_vs_density)
 from .kernels import SymmetricKernel, kernel_add, make_kernel
 
 # Fixed gates: reports do not store them, so verdicts follow from rows alone.
@@ -99,53 +99,6 @@ def pair_sum_vector(n: int) -> ChaosVector:
     """(X_1, pair-sum on labels >= 2): independent components, C = I_2."""
     dim = 2 * n + 1
     return ChaosVector((basis_element(dim, 1), pair_sum_element(n, offset=1, dim=dim)))
-
-
-@dataclass(frozen=True)
-class SequenceSpec:
-    """Config-level description of a family of elements.
-
-    family "pair-sum": indices are pair counts.  family "perturbation":
-    members are I_order(base + scale * direction).  family "custom":
-    prebuilt elements with labels.  family "custom-files": chaos files
-    loaded at build time.  An optional dim budget caps the ambient
-    dimension of every generated member.
-    """
-
-    family: str
-    indices: tuple[int, ...] = ()
-    base: SymmetricKernel | None = None
-    direction: SymmetricKernel | None = None
-    scales: tuple[float, ...] = ()
-    elements: tuple[tuple[float, ChaosElement], ...] = ()
-    paths: tuple[str, ...] = ()
-    dim_budget: int | None = None
-
-    def build(self) -> list[tuple[float, ChaosElement]]:
-        if self.family == "pair-sum":
-            if not self.indices:
-                raise ValueError("pair-sum family needs indices")
-            out = [(float(n), pair_sum_element(n)) for n in self.indices]
-        elif self.family == "perturbation":
-            if self.base is None or self.direction is None:
-                raise ValueError("perturbation family needs base and direction kernels")
-            out = []
-            for t in self.scales:
-                ker = kernel_add(self.base, self.direction.scale(float(t)))
-                out.append((float(t), single_integral(ker)))
-        elif self.family == "custom":
-            out = list(self.elements)
-        elif self.family == "custom-files":
-            from . import io
-            out = [(float(i), io.load_chaos(p)) for i, p in enumerate(self.paths)]
-        else:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.dim_budget is not None:
-            for label, fel in out:
-                if fel.dim > self.dim_budget:
-                    raise ValueError(f"member {label} needs dim {fel.dim}, "
-                                     f"budget is {self.dim_budget}")
-        return out
 
 
 @dataclass(frozen=True)
@@ -275,8 +228,9 @@ def sample_multilinear(spec: MultilinearSpec, n_samples: int, seed: int,
 # experiments
 
 @_timed
-def fourth_moment_certificate(k: int, spec: SequenceSpec, n_samples: int,
-                              seed: int, workers: int = 1) -> ExperimentReport:
+def fourth_moment_certificate(k: int, members: Sequence[tuple[float, ChaosElement]],
+                              n_samples: int, seed: int,
+                              workers: int = 1) -> ExperimentReport:
     """Fourth-moment bound for normal approximation of a kth-chaos family.
 
     Per member, after normalizing to unit variance: the exact fourth
@@ -289,7 +243,6 @@ def fourth_moment_certificate(k: int, spec: SequenceSpec, n_samples: int,
     """
     if k < 2:
         raise ValueError("fourth-moment certificate needs chaos order k >= 2")
-    members = spec.build()
     for label, fel in members:
         if variance(fel) <= 0.0:
             raise ValueError(f"member {label} has zero variance")
@@ -446,7 +399,7 @@ def carbery_wright_probe(q_el: ChaosElement, alphas: Sequence[float],
     if q_el.is_constant():
         raise ValueError("polynomial must be nonconstant")
     alphas = [float(a) for a in alphas]
-    if any(a <= 0 for a in alphas) or any(a <= b for a, b in zip(alphas, alphas[1:])):
+    if any(not a > 0 for a in alphas) or any(not a > b for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be positive and strictly decreasing")
     d = q_el.max_order
     m2 = moment(q_el, 2)
@@ -477,14 +430,14 @@ def df_small_ball_probe(fel: ChaosElement, lambdas: Sequence[float],
     var = variance(fel)
     if var <= 0.0:
         raise ValueError("element must have positive variance")
+    lambdas = [float(lam) for lam in lambdas]
+    if any(not lam > 0 for lam in lambdas):
+        raise ValueError("lambdas must be positive")
     p = fel.max_order
     grad_sq = carre_du_champ(fel, fel)
     batch = sample(grad_sq, n_samples, rng.derive(seed, 0), workers=workers)
     rows = []
     for lam in lambdas:
-        lam = float(lam)
-        if lam <= 0:
-            raise ValueError("lambdas must be positive")
         sb = small_ball(batch, lam * lam)  # values are >= 0, so this is P(G <= lam^2)
         if p >= 2:
             scale = lam ** (1.0 / (p - 1.0)) / var ** (1.0 / (2.0 * p - 2.0))
@@ -516,15 +469,10 @@ def peccati_tudor_run(k_list: Sequence[int],
     exact gaps must shrink along the family and the final joint TV must
     beat the gate.
     """
-    cov = np.asarray(cov, dtype=float)
     d = len(k_list)
     if d != 2:
         raise ValueError("vector experiment supports exactly d = 2")
-    # Sylvester's test; unlike eigvalsh(0.5 * (cov + cov.T)) it cannot overflow
-    if (cov.shape != (2, 2) or not (cov == cov.T).all()
-            or not (cov[0, 0] > 0.0 and np.linalg.det(cov) > 0.0)):
-        raise ValueError("target covariance must be symmetric 2x2 with cov[0,0] > 0 "
-                         "and positive determinant")
+    cov = _covariance_2x2(cov)
     gamma_target = float(np.linalg.det(cov)) * math.prod(k_list)
     rows = []
     for pos, (label, vec) in enumerate(vectors):

@@ -52,6 +52,18 @@ class TestTvVsDensity:
         est = tv_vs_density(gauss(106, 2000, mean=40.0), 0.0, 1.0, seed=1)
         assert 0.0 <= est.value <= 1.0 and est.ci_high <= 1.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mean, var, name", [
+        (0.0, 0.0, "var"), (0.0, -1.0, "var"), (0.0, math.nan, "var"),
+        (0.0, math.inf, "var"), (math.nan, 1.0, "mean"), (math.inf, 1.0, "mean")])
+    def test_bad_target_rejected_before_binning(self, monkeypatch, mean, var, name):
+        def no_histogram(*args, **kwargs):
+            raise AssertionError("histogram built before the target was checked")
+
+        monkeypatch.setattr(np, "histogram", no_histogram)
+        with pytest.raises(ValueError, match=f"target {name} must be"):
+            tv_vs_density(gauss(107, 2000), mean, var, seed=1)
+
 
 class TestTvTwoSamples:
     def test_identical_batches_give_zero(self):
@@ -96,6 +108,12 @@ class TestTvMultivariate:
         x = rng.gaussians(123, 0, 2 * 10_000).reshape(-1, 2)
         with pytest.raises(ValueError, match="positive definite"):
             tv_multivariate(x, np.array([[1.0, 2.0], [2.0, 1.0]]), seed=1)
+
+    def test_non_symmetric_rejected(self):
+        # its symmetric part is the identity, which the sample matches
+        x = rng.gaussians(125, 0, 2 * 20_000).reshape(-1, 2)
+        with pytest.raises(ValueError, match="symmetric"):
+            tv_multivariate(x, np.array([[1.0, 0.9], [-0.9, 1.0]]), n_boot=0, seed=1)
 
     def test_wrong_dimension_rejected(self):
         x = rng.gaussians(124, 0, 3 * 10_000).reshape(-1, 3)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from chaoslab import (MultilinearSpec, SequenceSpec,
+from chaoslab import (MultilinearSpec,
                       basis_element, carbery_wright_probe, carre_du_champ,
                       constant_element, d12_rate_probe, df_small_ball_probe,
                       dm_rate, evaluate_batch, expectation, evaluate,
@@ -47,25 +47,11 @@ class TestPairSumFamily:
         ker = pair_sum_kernel(3, offset=1, dim=7)
         assert ker.dim == 7 and min(min(idx) for idx in ker.entries) == 2
 
-    def test_sequence_dim_budget(self):
-        spec = SequenceSpec("pair-sum", indices=(4,), dim_budget=6)
-        with pytest.raises(ValueError, match="budget"):
-            spec.build()
-        assert SequenceSpec("pair-sum", indices=(3,), dim_budget=6).build()
-
-    def test_sequence_from_files(self, tmp_path):
-        from chaoslab import io
-        path = tmp_path / "member.json"
-        io.save_chaos(pair_sum_element(3), str(path))
-        spec = SequenceSpec("custom-files", paths=(str(path),))
-        label, fel = spec.build()[0]
-        assert label == 0.0 and variance(fel) == pytest.approx(1.0)
-
 
 class TestFourthMoment:
     def test_pair_sum_passes(self):
-        spec = SequenceSpec("pair-sum", indices=(10, 20))
-        rep = fourth_moment_certificate(2, spec, 20_000, seed=5)
+        members = [(float(n), pair_sum_element(n)) for n in (10, 20)]
+        rep = fourth_moment_certificate(2, members, 20_000, seed=5)
         assert rep.verdict == "pass"
         assert [r["fourth_moment"] for r in rep.rows] == \
             pytest.approx([3.6, 3.3], abs=1e-10)
@@ -73,8 +59,7 @@ class TestFourthMoment:
     def test_vacuous_bound_reported(self):
         # a fixed far-from-normal member: normalized H_2 has fourth moment 15
         fixed = single_integral(make_kernel(2, 1, [((1, 1), 1.0)]), 1 / math.sqrt(2))
-        spec = SequenceSpec("custom", elements=((1.0, fixed),))
-        rep = fourth_moment_certificate(2, spec, 20_000, seed=5)
+        rep = fourth_moment_certificate(2, [(1.0, fixed)], 20_000, seed=5)
         assert rep.rows[0]["fourth_moment"] == pytest.approx(15.0, abs=1e-9)
         assert rep.rows[0]["bound"] == pytest.approx(math.sqrt(2.0 / 3.0) * math.sqrt(12.0))
         assert rep.rows[0]["vacuous"] is True
@@ -83,32 +68,27 @@ class TestFourthMoment:
     def test_bound_constant_at_unit_excess(self):
         # at six pairs the fourth-moment excess is exactly 1, so the bound
         # equals the bare constant sqrt(2/3)
-        spec = SequenceSpec("pair-sum", indices=(6,))
-        rep = fourth_moment_certificate(2, spec, 2000, seed=5)
+        rep = fourth_moment_certificate(2, [(6.0, pair_sum_element(6))], 2000, seed=5)
         assert rep.rows[0]["bound"] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
 
     def test_low_order_rejected(self):
         with pytest.raises(ValueError, match="k >= 2"):
-            fourth_moment_certificate(1, SequenceSpec("pair-sum", indices=(4,)),
-                                      2000, seed=1)
+            fourth_moment_certificate(1, [(4.0, pair_sum_element(4))], 2000, seed=1)
 
     def test_member_outside_chaos_k_rejected(self):
         mixed = linear_combine([(1.0, pair_sum_element(4)), (0.5, basis_element(8, 1))])
-        spec = SequenceSpec("custom", elements=((0.0, pair_sum_element(4)), (1.0, mixed)))
+        members = [(0.0, pair_sum_element(4)), (1.0, mixed)]
         with pytest.raises(ValueError, match="member 1.0 is not in chaos 2"):
-            fourth_moment_certificate(2, spec, 2000, seed=1)
+            fourth_moment_certificate(2, members, 2000, seed=1)
         with pytest.raises(ValueError, match="member 4.0 is not in chaos 3"):
-            fourth_moment_certificate(3, SequenceSpec("pair-sum", indices=(4,)),
-                                      2000, seed=1)
+            fourth_moment_certificate(3, [(4.0, pair_sum_element(4))], 2000, seed=1)
         shifted = linear_combine([(1.0, pair_sum_element(4)), (1.0, constant_element(8, 1.0))])
         with pytest.raises(ValueError, match="not in chaos 2"):
-            fourth_moment_certificate(2, SequenceSpec("custom", elements=((0.0, shifted),)),
-                                      2000, seed=1)
+            fourth_moment_certificate(2, [(0.0, shifted)], 2000, seed=1)
 
     def test_zero_variance_rejected(self):
-        spec = SequenceSpec("custom", elements=((0.0, constant_element(2, 1.0)),))
         with pytest.raises(ValueError, match="zero variance"):
-            fourth_moment_certificate(2, spec, 2000, seed=1)
+            fourth_moment_certificate(2, [(0.0, constant_element(2, 1.0))], 2000, seed=1)
 
 
 class TestShigekawa:
@@ -219,6 +199,23 @@ class TestGradientSmallBall:
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError, match="variance"):
             df_small_ball_probe(constant_element(1, 1.0), [0.5], 20_000, seed=1)
+
+
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("sampled before the thresholds were checked")
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: distances.small_ball(np.zeros(10_000), math.nan), id="small_ball"),
+    pytest.param(lambda: carbery_wright_probe(pair_sum_element(2), [1.0, math.nan],
+                                              10_000, seed=1), id="carbery_wright_probe"),
+    pytest.param(lambda: df_small_ball_probe(pair_sum_element(2), [math.nan], 10_000, seed=1),
+                 id="df_small_ball_probe"),
+])
+def test_nan_threshold_refused_before_sampling(call, monkeypatch):
+    monkeypatch.setattr(experiments, "sample", _no_sampling)
+    with pytest.raises(ValueError, match="must be positive"):
+        call()
 
 
 class TestPeccatiTudor:
@@ -390,9 +387,9 @@ class TestVerdictsRecomputable:
         assert _peccati_tudor_verdict(rep3.rows, 2.0, 0.1) == rep3.verdict
 
     def test_exact_quantities_are_seed_invariant(self):
-        spec = SequenceSpec("pair-sum", indices=(6,))
-        r1 = fourth_moment_certificate(2, spec, 2000, seed=1)
-        r2 = fourth_moment_certificate(2, spec, 2000, seed=999)
+        members = [(6.0, pair_sum_element(6))]
+        r1 = fourth_moment_certificate(2, members, 2000, seed=1)
+        r2 = fourth_moment_certificate(2, members, 2000, seed=999)
         assert r1.rows[0]["fourth_moment"] == r2.rows[0]["fourth_moment"]
         assert r1.rows[0]["variance"] == r2.rows[0]["variance"]
         assert r1.rows[0]["tv"] != r2.rows[0]["tv"]  # estimates move with the seed

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from chaoslab import cli, experiments, io
 from chaoslab import (basis_element, constant_element, make_kernel,
-                      sample)
+                      pair_sum_element, sample)
 from chaoslab.chaos import SampleBatch
 from chaoslab.experiments import ExperimentReport
 from helpers import nonzero_kernel, random_element
@@ -216,6 +216,20 @@ class TestCli:
         rep = io.load_report(str(tmp_path / "rep.json"))
         assert rep.experiment == "fourth-moment"
         assert rep.rows[0]["fourth_moment"] == pytest.approx(4.0)  # 3 + 6/6
+
+    def test_verify_shigekawa_member_files_labelled_by_position(self, tmp_path):
+        paths = [str(tmp_path / f"m{n}.json") for n in (3, 5)]
+        for n, path in zip((3, 5), paths):
+            io.save_chaos(pair_sum_element(n), path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 4, "n_samples": 5000, "p": 2,
+                                        "members": paths, "limit": "standard-gaussian"}))
+        out = str(tmp_path / "rep.json")
+        assert cli.main(["verify", "shigekawa", "--config", str(cfg_path),
+                         "--out", out]) in (0, 1)
+        rows = io.load_report(out).rows
+        assert [r["index"] for r in rows] == [0.0, 1.0]
+        assert rows[1]["fourth_moment"] == pytest.approx(3.0 + 6.0 / 5)
 
     def test_verify_reports_are_byte_identical(self, tmp_path):
         cfg = {"seed": 4, "n_samples": 5000, "indices": [6]}

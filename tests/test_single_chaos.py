@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from chaoslab import (ChaosElement, OrderCapError, SequenceSpec, basis_element,
+from chaoslab import (ChaosElement, OrderCapError, basis_element,
                       chaos, constant_element, evaluate_batch, expectation_of_product,
                       fourth_moment_certificate, linear_combine, make_kernel,
                       moment, multiply, pair_sum_element, shigekawa_rate,
@@ -157,8 +157,7 @@ def _triple_sum(n: int) -> ChaosElement:
 class TestThirdChaosExperiments:
     def test_fourth_moment_certificate_k3(self):
         members = tuple((float(n), _triple_sum(n)) for n in (1, 4, 8))
-        rep = fourth_moment_certificate(3, SequenceSpec("custom", elements=members),
-                                        2000, seed=3)
+        rep = fourth_moment_certificate(3, members, 2000, seed=3)
         for row, (n, _) in zip(rep.rows, members):
             assert math.isfinite(row["fourth_moment"]) and math.isfinite(row["bound"])
             assert row["fourth_moment"] == pytest.approx(3.0 + 24.0 / n, rel=TOL)
