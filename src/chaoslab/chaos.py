@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -170,10 +171,12 @@ def _expand_pairs(f_el: ChaosElement, g_el: ChaosElement, first_r: int, weight,
     return const
 
 
+@cache
 def _product_weight(k: int, l: int, r: int) -> int:
     return math.factorial(r) * math.comb(k, r) * math.comb(l, r)
 
 
+@cache
 def _carre_weight(k: int, l: int, r: int) -> int:
     return k * l * math.factorial(r - 1) * math.comb(k - 1, r - 1) * math.comb(l - 1, r - 1)
 

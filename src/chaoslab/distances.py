@@ -19,6 +19,11 @@ these statistics, and much cheaper.  The replicates are drawn one after
 another, then stacked under the observed counts and evaluated as one
 array, so each statistic runs once per call (row 0 is the point
 estimate) and the chain DP sweeps all replicates together.
+
+scipy is imported inside the three functions that use it (normal_cdf,
+the FM chain DP and small_ball), so importing chaoslab and running its
+exact computations never load it; that import is about half of a short
+exact command's start-up time and memory.
 """
 
 from __future__ import annotations
@@ -27,8 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
-from scipy.special import betaincinv, ndtr
 
 from . import rng
 from .chaos import SampleBatch
@@ -125,18 +128,21 @@ def _pooled_counts(x1: np.ndarray, x2: np.ndarray, bins: int):
 
 
 def _covariance_2x2(cov) -> np.ndarray:
-    """cov as a float array, after checking that it is a symmetric positive
-    definite 2x2 matrix by Sylvester's test (cov[0,0] > 0 and det > 0),
-    which unlike the eigenvalues of (cov + cov.T) / 2 cannot overflow."""
+    """cov as a float array, after checking that it is a finite, symmetric,
+    positive definite 2x2 matrix by Sylvester's test (cov[0,0] > 0 and
+    det > 0), which unlike the eigenvalues of (cov + cov.T) / 2 cannot
+    overflow.  An infinite entry would pass the test with det = inf."""
     cov = np.asarray(cov, dtype=float)
-    if (cov.shape != (2, 2) or not (cov == cov.T).all()
+    if (cov.shape != (2, 2) or not np.isfinite(cov).all() or not (cov == cov.T).all()
             or not (cov[0, 0] > 0.0 and np.linalg.det(cov) > 0.0)):
         raise ValueError("target covariance must be symmetric positive definite 2x2 "
-                         "(cov[0,0] > 0 and positive determinant)")
+                         "with finite entries (cov[0,0] > 0 and positive determinant)")
     return cov
 
 
 def normal_cdf(x, mean: float = 0.0, var: float = 1.0):
+    from scipy.special import ndtr
+
     return ndtr((x - mean) / math.sqrt(var))
 
 
@@ -265,6 +271,8 @@ def _fm_lattice(dx: float, levels: int, cells: int) -> tuple[np.ndarray, int | N
 def _fm_stat(diff: np.ndarray, lv: np.ndarray, window: int | None) -> np.ndarray:
     """Chain-constrained maximization of sum phi_j diff_j by DP over levels,
     for every row of diff at once (one value per row)."""
+    from scipy.ndimage import maximum_filter1d
+
     best = lv * diff[:, :1]
     if window is None or window >= lv.size - 1:
         for j in range(1, diff.shape[1]):
@@ -323,6 +331,8 @@ def small_ball(batch, alpha: float) -> DistanceEstimate:
     """P(|value| <= alpha) with an exact Clopper-Pearson 95% interval."""
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
+    from scipy.special import betaincinv
+
     x = _samples(batch, MIN_SAMPLES_FINE)
     n = x.size
     k = int(np.count_nonzero(np.abs(x) <= alpha))

@@ -88,6 +88,8 @@ def _multiset_diff(alpha: Index, sub: Index) -> Index:
 
 def _split_by_sub(f: SymmetricKernel, r: int) -> dict[Index, list[tuple[Index, float]]]:
     """Group f's entries by each size-r sub-multiset A: A -> [(alpha - A, c)]."""
+    if r == f.order:
+        return {alpha: [((), c)] for alpha, c in f.entries.items()}
     out: dict[Index, list[tuple[Index, float]]] = {}
     for alpha, c in f.entries.items():
         for sub in _sub_multisets(alpha, r):
@@ -233,18 +235,23 @@ def contract(f: SymmetricKernel, g: SymmetricKernel, r: int) -> BipartiteKernel:
     if not (0 <= r <= min(f.order, g.order)):
         raise ValueError(f"contraction order {r} outside 0..{min(f.order, g.order)}")
 
-    fmap, gmap = _split_by_sub(f, r), _split_by_sub(g, r)
-    out: dict[tuple[Index, Index], float] = {}
-    for sub, flist in fmap.items():
-        glist = gmap.get(sub)
-        if glist is None:
-            continue
-        w = perm_count(sub)
-        for xi, c in flist:
-            for eta, d in glist:
-                key = (xi, eta)
-                s = out.get(key, 0.0) + w * c * d
-                out[key] = s
+    out: dict[tuple[Index, Index], float]
+    if r == 0:
+        # every (xi, eta) key occurs once: the plain tensor product
+        out = {(xi, eta): c * d for xi, c in f.entries.items() for eta, d in g.entries.items()}
+    else:
+        fmap, gmap = _split_by_sub(f, r), _split_by_sub(g, r)
+        out = {}
+        for sub, flist in fmap.items():
+            glist = gmap.get(sub)
+            if glist is None:
+                continue
+            w = perm_count(sub)
+            for xi, c in flist:
+                wc = w * c
+                for eta, d in glist:
+                    key = (xi, eta)
+                    out[key] = out.get(key, 0.0) + wc * d
     out = {k: v for k, v in out.items() if v != 0.0}
     return BipartiteKernel(f.order - r, g.order - r, f.dim, out)
 
@@ -260,18 +267,20 @@ def symmetrize(t: BipartiteKernel) -> SymmetricKernel:
     m = t.left + t.right
     if m == 0:
         raise ValueError("cannot symmetrize an order-0 kernel; read the scalar directly")
+    if t.left == 0 or t.right == 0:
+        # one split per key, of weight 1, and the keys stay distinct
+        return SymmetricKernel(m, t.dim, {xi + eta: val for (xi, eta), val
+                                          in t.entries.items() if val != 0.0})
     denom = math.comb(m, t.left)
     acc: dict[Index, float] = {}
     for (xi, eta), val in t.entries.items():
-        gamma = tuple(sorted(xi + eta))
-        gmult = _multiplicities(gamma)
-        ximult = _multiplicities(xi)
+        # a label with a copies in xi and b in eta contributes C(a + b, a)
         ways = 1
-        for v, c in ximult.items():
-            ways *= math.comb(gmult[v], c)
-        add = val * ways / denom
-        s = acc.get(gamma, 0.0) + add
-        acc[gamma] = s
+        for v in set(xi).intersection(eta):
+            a = xi.count(v)
+            ways *= math.comb(a + eta.count(v), a)
+        gamma = tuple(sorted(xi + eta))
+        acc[gamma] = acc.get(gamma, 0.0) + val * ways / denom
     return SymmetricKernel(m, t.dim, {k: v for k, v in acc.items() if v != 0.0})
 
 

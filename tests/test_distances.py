@@ -115,6 +115,15 @@ class TestTvMultivariate:
         with pytest.raises(ValueError, match="symmetric"):
             tv_multivariate(x, np.array([[1.0, 0.9], [-0.9, 1.0]]), n_boot=0, seed=1)
 
+    @pytest.mark.parametrize("cov", [[[math.inf, 0.0], [0.0, 1.0]],
+                                     [[1.0, -math.inf], [-math.inf, 1.0]]])
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_entry_rejected(self, cov):
+        # [[inf, 0], [0, 1]] has det = inf > 0, so Sylvester's test alone passes it
+        x = rng.gaussians(126, 0, 2 * 10_000).reshape(-1, 2)
+        with pytest.raises(ValueError, match="finite entries"):
+            tv_multivariate(x, np.array(cov), n_boot=0, seed=1)
+
     def test_wrong_dimension_rejected(self):
         x = rng.gaussians(124, 0, 3 * 10_000).reshape(-1, 3)
         with pytest.raises(ValueError, match="d = 2"):

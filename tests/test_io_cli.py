@@ -204,6 +204,18 @@ class TestCli:
         assert cli.main(["check", "identities", "--trials", "20", "--seed", "1"]) == 0
         assert "verdict pass" in capsys.readouterr().err
 
+    def test_exact_commands_load_no_scipy(self, chaos_file):
+        code = ("import sys\n"
+                "import chaoslab, chaoslab.cli\n"
+                "argvs = [['check', 'identities', '--trials', '2', '--seed', '1'],\n"
+                f"         ['moments', '--chaos', {chaos_file!r}],\n"
+                f"         ['eval', '--chaos', {chaos_file!r}, '--point', '1.5']]\n"
+                "codes = [chaoslab.cli.main(argv) for argv in argvs]\n"
+                "print(codes, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+
     def test_usage_error_exits_2(self, capsys):
         assert cli.main(["verify", "not-an-experiment", "--config", "x"]) == 2
 

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import hermite_e
 
-from chaoslab import (BipartiteKernel, contract,
+from chaoslab import (BipartiteKernel, SymmetricKernel, contract,
                       hermite_eval, inner, kernel_add, make_kernel,
                       perm_count, single_integral, slice_label, sym_contract,
                       symmetrize, zero_kernel)
-from chaoslab.kernels import hermite_table
+from chaoslab.kernels import (_multiplicities, _multiset_diff, _sub_multisets,
+                              hermite_table)
 from dense_oracle import (dense_from_kernel, dense_sym_contract,
                           dense_symmetrize, dense_from_bipartite,
                           kernel_from_dense)
@@ -259,6 +260,68 @@ class TestSymmetrize:
             for idx in set(sparse.entries) | set(expect.entries):
                 assert sparse.entries.get(idx, 0.0) == pytest.approx(
                     expect.entries.get(idx, 0.0), abs=1e-12)
+
+
+def _oracle_contract(f, g, r):
+    """contract as one loop over sub-multisets for every r, with no fast path."""
+    def split(ker):
+        out = {}
+        for alpha, c in ker.entries.items():
+            for sub in _sub_multisets(alpha, r):
+                out.setdefault(sub, []).append((_multiset_diff(alpha, sub), c))
+        return out
+
+    fmap, gmap = split(f), split(g)
+    out = {}
+    for sub, flist in fmap.items():
+        glist = gmap.get(sub)
+        if glist is None:
+            continue
+        w = perm_count(sub)
+        for xi, c in flist:
+            for eta, d in glist:
+                key = (xi, eta)
+                s = out.get(key, 0.0) + w * c * d
+                out[key] = s
+    out = {k: v for k, v in out.items() if v != 0.0}
+    return BipartiteKernel(f.order - r, g.order - r, f.dim, out)
+
+
+def _oracle_symmetrize(t):
+    """symmetrize with split weights from full multiplicity maps."""
+    m = t.left + t.right
+    denom = math.comb(m, t.left)
+    acc = {}
+    for (xi, eta), val in t.entries.items():
+        gamma = tuple(sorted(xi + eta))
+        gmult = _multiplicities(gamma)
+        ways = 1
+        for v, c in _multiplicities(xi).items():
+            ways *= math.comb(gmult[v], c)
+        add = val * ways / denom
+        s = acc.get(gamma, 0.0) + add
+        acc[gamma] = s
+    return SymmetricKernel(m, t.dim, {k: v for k, v in acc.items() if v != 0.0})
+
+
+def _bits(entries):
+    return [(key, float.hex(v)) for key, v in entries.items()]
+
+
+def test_contract_and_symmetrize_match_loop_oracle_bit_for_bit(gen):
+    # orders 1-4 on both sides, every r from 0 to min(k, l): r = k < l and
+    # r = l < k give the one-sided kernels, and small dims force shared labels
+    for _ in range(300):
+        dim = int(gen.integers(1, 9))
+        k, l = (int(v) for v in gen.integers(1, 5, size=2))
+        f, g = nonzero_kernel(gen, k, dim, terms=8), nonzero_kernel(gen, l, dim, terms=8)
+        for r in range(min(k, l) + 1):
+            got, expect = contract(f, g, r), _oracle_contract(f, g, r)
+            assert (got.left, got.right) == (expect.left, expect.right)
+            assert _bits(got.entries) == _bits(expect.entries)
+            if k + l > 2 * r:
+                assert _bits(symmetrize(got).entries) == _bits(
+                    _oracle_symmetrize(expect).entries)
 
 
 class TestSymContract:
