@@ -151,19 +151,27 @@ def project(fel: ChaosElement, k: int) -> ChaosElement:
 
 
 def _element(dim: int, const: float, acc: dict[int, dict[Index, float]]) -> ChaosElement:
-    """Chaos element from a constant and per-order entry accumulators."""
+    """Chaos element from a constant and per-order entry accumulators; an
+    accumulated coefficient that is not finite raises ValueError."""
+    for k, slot in acc.items():
+        for idx, v in slot.items():
+            if not math.isfinite(v):
+                raise ValueError(f"order-{k} coefficient at index {idx} is not finite: {v}")
     return ChaosElement(dim, const, {k: SymmetricKernel(k, dim, slot)
                                      for k, slot in acc.items() if slot})
 
 
-def _expand_pairs(f_el: ChaosElement, g_el: ChaosElement, first_r: int, weight,
+def _expand_pairs(f_el: ChaosElement, g_el: ChaosElement, first_r: int,
                   const: float, acc: dict[int, dict[Index, float]]) -> float:
-    """Add sum_{k,l,r >= first_r} weight(k, l, r) I_{k+l-2r}(f_k sym-contract_r g_l)
-    into acc; the full contractions (k = l = r) go into const, which is returned."""
+    """Add sum_{k,l,r >= first_r} w I_{k+l-2r}(f_k sym-contract_r g_l) into acc
+    with w = r^first_r r! C(k,r) C(l,r); full contractions (k = l = r) go into
+    const, which is returned.  first_r = 0 is the product formula; first_r = 1
+    is the carre du champ (L(FG) - F LG - G LF) / 2, since L scales the order
+    k+l-2r product term by -(k+l-2r) and F LG + G LF scales it by -(k+l)."""
     for k, f in f_el.kernels.items():
         for l, g in g_el.kernels.items():
             for r in range(first_r, min(k, l) + 1):
-                w = weight(k, l, r)
+                w = r ** first_r * _product_weight(k, l, r)
                 if k + l - 2 * r == 0:
                     const += w * inner(f, g)
                 else:
@@ -174,11 +182,6 @@ def _expand_pairs(f_el: ChaosElement, g_el: ChaosElement, first_r: int, weight,
 @cache
 def _product_weight(k: int, l: int, r: int) -> int:
     return math.factorial(r) * math.comb(k, r) * math.comb(l, r)
-
-
-@cache
-def _carre_weight(k: int, l: int, r: int) -> int:
-    return k * l * math.factorial(r - 1) * math.comb(k - 1, r - 1) * math.comb(l - 1, r - 1)
 
 
 def multiply(f_el: ChaosElement, g_el: ChaosElement) -> ChaosElement:
@@ -198,8 +201,7 @@ def multiply(f_el: ChaosElement, g_el: ChaosElement) -> ChaosElement:
         _add_scaled(acc.setdefault(k, {}), ker, g_el.constant)
     for l, ker in g_el.kernels.items():
         _add_scaled(acc.setdefault(l, {}), ker, f_el.constant)
-    const = _expand_pairs(f_el, g_el, 0, _product_weight,
-                          f_el.constant * g_el.constant, acc)
+    const = _expand_pairs(f_el, g_el, 0, f_el.constant * g_el.constant, acc)
     return _element(f_el.dim, const, acc)
 
 
@@ -276,9 +278,8 @@ def _single_chaos_moment(f: SymmetricKernel, m: int) -> float:
     if m == 3:
         if q % 2:
             return 0.0
-        h = q // 2
-        weight = math.factorial(q) * math.factorial(h) * math.comb(q, h) ** 2
-        return weight * inner(f, sym_contract(f, f, h))
+        weight = math.factorial(q) * _product_weight(q, q, q // 2)
+        return weight * inner(f, sym_contract(f, f, q // 2))
     sigma2 = math.factorial(q) * f.norm_sq()
     total = 3.0 * sigma2 * sigma2
     for r in range(1, q):
@@ -437,14 +438,13 @@ def mderiv(fel: ChaosElement, i: int) -> ChaosElement:
 def carre_du_champ(f_el: ChaosElement, g_el: ChaosElement) -> ChaosElement:
     """Chaos expansion of <DF, DG> via the closed contraction formula.
 
-    <DF, DG> = sum_{k,l} k l sum_{r=1}^{k^l} (r-1)! C(k-1,r-1) C(l-1,r-1)
-               I_{k+l-2r}(f_k sym-contract_r g_l);
-    the result lives in orders <= max_order(F) + max_order(G) - 2.
+    <DF, DG> = sum_{k,l} sum_{r=1}^{k^l} r r! C(k,r) C(l,r) I_{k+l-2r}(f_k sym-contract_r g_l),
+    r times the product weight; it lives in orders <= max_order(F) + max_order(G) - 2.
     """
     if f_el.dim != g_el.dim:
         raise ValueError(f"dim mismatch: {f_el.dim} vs {g_el.dim}")
     acc: dict[int, dict[Index, float]] = {}
-    const = _expand_pairs(f_el, g_el, 1, _carre_weight, 0.0, acc)
+    const = _expand_pairs(f_el, g_el, 1, 0.0, acc)
     return _element(f_el.dim, const, acc)
 
 
@@ -469,8 +469,6 @@ def check_ibp(f_el: ChaosElement, g_el: ChaosElement,
 
 def expectation_of_product(f_el: ChaosElement, g_el: ChaosElement) -> float:
     """E[F G] through the isometry, without materializing the product."""
-    if f_el.dim != g_el.dim:
-        raise ValueError(f"dim mismatch: {f_el.dim} vs {g_el.dim}")
     return f_el.constant * g_el.constant + covariance(f_el, g_el)
 
 
@@ -487,7 +485,8 @@ def malliavin_matrix(vec: ChaosVector) -> list[list[ChaosElement]]:
 
 
 def det_chaos(mat: Sequence[Sequence[ChaosElement]]) -> ChaosElement:
-    """Leibniz determinant of a small matrix of chaos elements (d <= 3)."""
+    """Determinant of a small matrix of chaos elements (d <= 3) by Laplace
+    expansion along the first row: sum_j (-1)^j mat[0][j] det(minor_j)."""
     d = len(mat)
     if any(len(row) != d for row in mat):
         raise ValueError("matrix must be square")
@@ -495,12 +494,6 @@ def det_chaos(mat: Sequence[Sequence[ChaosElement]]) -> ChaosElement:
         raise ValueError("determinant supported only for d <= 3")
     if d == 1:
         return mat[0][0]
-    if d == 2:
-        return linear_combine([(1.0, multiply(mat[0][0], mat[1][1])),
-                               (-1.0, multiply(mat[0][1], mat[1][0]))])
-    terms = []
-    for sign, (a, b, c) in (
-            (1.0, (0, 1, 2)), (1.0, (1, 2, 0)), (1.0, (2, 0, 1)),
-            (-1.0, (0, 2, 1)), (-1.0, (2, 1, 0)), (-1.0, (1, 0, 2))):
-        terms.append((sign, multiply(multiply(mat[0][a], mat[1][b]), mat[2][c])))
-    return linear_combine(terms)
+    minors = ([row[:j] + row[j + 1:] for row in mat[1:]] for j in range(d))
+    return linear_combine([((-1.0) ** j, multiply(mat[0][j], det_chaos(minor)))
+                           for j, minor in enumerate(minors)])

@@ -467,13 +467,15 @@ def peccati_tudor_run(k_list: Sequence[int],
     C(i,j); the exact mean and variance of det Gamma against
     det(C) prod k_i; estimated marginal TVs and the joint 2d TV.  The
     exact gaps must shrink along the family and the final joint TV must
-    beat the gate.
+    beat the gate.  A target that overflows raises ValueError up front.
     """
     d = len(k_list)
     if d != 2:
         raise ValueError("vector experiment supports exactly d = 2")
     cov = _covariance_2x2(cov)
     gamma_target = float(np.linalg.det(cov)) * math.prod(k_list)
+    if not math.isfinite(gamma_target):
+        raise ValueError(f"det Gamma target det(C) prod k_i = {gamma_target} is not finite")
     rows = []
     for pos, (label, vec) in enumerate(vectors):
         if len(vec) != d:

@@ -291,8 +291,6 @@ def sym_contract(f: SymmetricKernel, g: SymmetricKernel, r: int):
     r = f.order = g.order where the result is the scalar <f, g>.
     """
     if r == f.order and r == g.order:
-        if f.dim != g.dim:
-            raise ValueError(f"dim mismatch: {f.dim} vs {g.dim}")
         return inner(f, g)
     return symmetrize(contract(f, g, r))
 

@@ -88,5 +88,4 @@ def discrete(seed: int, start: int, count: int, values, probs) -> np.ndarray:
 
 def derive(seed: int, label: int) -> int:
     """A decorrelated child seed for an auxiliary stream (bootstrap etc.)."""
-    key = _mix_int((int(seed) & _MASK) * _GAMMA + _GAMMA)
-    return _mix_int(((int(label) & _MASK) ^ key) * _M1 + _GAMMA)
+    return _mix_int(((int(label) & _MASK) ^ int(_key(seed))) * _M1 + _GAMMA)

@@ -11,9 +11,10 @@ from chaoslab import (ChaosElement, ChaosVector, OrderCapError, basis_element,
                       malliavin_matrix, mderiv, moment, multiply, ou_generator,
                       project, sample, single_integral, variance)
 from chaoslab import rng
-from chaoslab.chaos import _SAMPLE_BLOCK, gaussian_matrix
+from chaoslab.chaos import _SAMPLE_BLOCK, _product_weight, gaussian_matrix
 from chaoslab.experiments import (MultilinearSpec, pair_sum_element,
                                   rademacher_average, sample_multilinear)
+from chaoslab.kernels import ORDER_CAP
 from helpers import random_element
 
 H2 = single_integral(make_kernel(2, 3, [((1, 1), 1.0)]))  # H_2(X_1)
@@ -51,6 +52,29 @@ class TestLinearCombine:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dim"):
             linear_combine([(1.0, E1), (1.0, basis_element(4, 1))])
+
+
+def _entries_hex(fel):
+    """Constant and every kernel entry, in dict order, as float.hex strings."""
+    return [fel.constant.hex()] + [(k, idx, c.hex()) for k, ker in fel.kernels.items()
+                                   for idx, c in ker.entries.items()]
+
+
+class TestFiniteResults:
+    """Exact results refuse a coefficient that overflows instead of storing it."""
+
+    def test_product_that_overflows(self):
+        big1 = single_integral(make_kernel(1, 2, [((1,), 1e200)]))
+        big2 = single_integral(make_kernel(1, 2, [((2,), 1e200)]))
+        with pytest.raises(ValueError,
+                           match=r"^order-2 coefficient at index \(1, 2\) is not finite: inf$"):
+            multiply(big1, big2)
+
+    def test_combination_that_overflows(self):
+        big = single_integral(make_kernel(1, 2, [((2,), 1.7e308)]))
+        with pytest.raises(ValueError,
+                           match=r"^order-1 coefficient at index \(2,\) is not finite: inf$"):
+            linear_combine([(1.0, big), (1.0, big)])
 
 
 class TestProject:
@@ -223,6 +247,15 @@ class TestCarreDuChamp:
                 assert out.max_order <= f.max_order + g.max_order - 2
             assert variance(out) < math.inf
 
+    def test_weight_is_r_times_product_weight(self):
+        # the closed form k l (r-1)! C(k-1,r-1) C(l-1,r-1), as exact integers
+        for k in range(1, ORDER_CAP + 1):
+            for l in range(1, ORDER_CAP + 1):
+                for r in range(1, min(k, l) + 1):
+                    closed = (k * l * math.factorial(r - 1) * math.comb(k - 1, r - 1)
+                              * math.comb(l - 1, r - 1))
+                    assert closed == r * _product_weight(k, l, r)
+
 
 class TestGeneratorAndIbp:
     def test_generator_kills_constants(self):
@@ -313,6 +346,31 @@ class TestDetChaos:
                            single_integral(make_kernel(2, 3, [((2, 2), 1.0)]))))
         out = det_chaos(malliavin_matrix(vec))
         assert expectation(out) == pytest.approx(4.0)
+
+    def test_two_by_two_is_the_two_product_formula_bit_for_bit(self, gen):
+        for _ in range(100):
+            dim = int(gen.integers(1, 5))
+            a, b, c, d = (random_element(gen, dim, 2) for _ in range(4))
+            for mat in ([[a, b], [c, d]], malliavin_matrix(ChaosVector((a, b)))):
+                ref = linear_combine([(1.0, multiply(mat[0][0], mat[1][1])),
+                                      (-1.0, multiply(mat[0][1], mat[1][0]))])
+                assert _entries_hex(det_chaos(mat)) == _entries_hex(ref)
+
+    def test_three_by_three_matches_leibniz_sum(self, gen):
+        perms = [(1.0, (0, 1, 2)), (1.0, (1, 2, 0)), (1.0, (2, 0, 1)),
+                 (-1.0, (0, 2, 1)), (-1.0, (2, 1, 0)), (-1.0, (1, 0, 2))]
+        for _ in range(40):
+            dim = int(gen.integers(1, 4))
+            mat = [[random_element(gen, dim, 2) for _ in range(3)] for _ in range(3)]
+            terms = [(sign, multiply(multiply(mat[0][i], mat[1][j]), mat[2][k]))
+                     for sign, (i, j, k) in perms]
+            diff = linear_combine([(1.0, det_chaos(mat)), (-1.0, linear_combine(terms))])
+            scale = max([abs(t.constant) for _, t in terms]
+                        + [abs(c) for _, t in terms for ker in t.kernels.values()
+                           for c in ker.entries.values()])
+            worst = max([abs(diff.constant)] + [abs(c) for ker in diff.kernels.values()
+                                                for c in ker.entries.values()])
+            assert worst <= 1e-12 * scale
 
     def test_size_limits(self):
         c = constant_element(1, 1.0)

@@ -142,6 +142,11 @@ class TestFortetMourier:
         x = gauss(131, 20_000)
         assert fm_two_samples(x, x, seed=1).value == 0.0
 
+    def test_constant_pooled_range_gives_exact_zero(self):
+        est = fm_two_samples(np.full(1000, 2.5), np.full(1500, 2.5), seed=1)
+        assert est.to_dict() == {"method": "fm-dp", "value": 0.0, "ci": [0.0, 0.0],
+                                 "n": [1000, 1500]}
+
     def test_point_mass_matches_refined_oracle(self):
         # sup over the class is E[min(|X|, 2)] ~ 0.78097; the refined-grid
         # oracle (cells=4096, levels=2001, N=1e6) measured 0.7808 once

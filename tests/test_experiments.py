@@ -18,9 +18,9 @@ from chaoslab import (MultilinearSpec,
 from chaoslab import ChaosElement, distances, experiments, rng
 from chaoslab.chaos import _SAMPLE_BLOCK
 from chaoslab.experiments import (D12_STABILITY_FACTOR, DM_SLOPE_SLACK,
-                                  DM_STABILITY_FACTOR, _d12_verdict, _dm_verdict,
-                                  _moo_verdict, _peccati_tudor_verdict,
-                                  _shigekawa_verdict)
+                                  DM_STABILITY_FACTOR, _all_rows_verdict,
+                                  _d12_verdict, _dm_verdict, _moo_verdict,
+                                  _peccati_tudor_verdict, _shigekawa_verdict)
 
 X_CUBED = linear_combine([
     (1.0, single_integral(make_kernel(3, 1, [((1, 1, 1), 1.0)]))),
@@ -436,3 +436,73 @@ class TestFixedGates:
         assert "fm_gate" in inspect.signature(experiments.moo_invariance).parameters
         assert not hasattr(experiments.ExperimentReport, "row_values")
         assert not hasattr(ChaosElement, "kernel")
+
+
+def _est(value):
+    return {"value": value}
+
+
+class TestVerdictBranches:
+    """Each return of each verdict function, on synthetic rows."""
+
+    def test_all_rows(self):
+        ok, vac = {"passed": True}, {"passed": True, "vacuous": True}
+        assert _all_rows_verdict([ok, vac]) == "pass"
+        assert _all_rows_verdict([vac, vac]) == "vacuous"
+        assert _all_rows_verdict([vac, {"passed": False, "vacuous": True}]) == "fail"
+
+    @pytest.mark.parametrize("fms, tvs, ratios, verdict", [
+        ([0.01, 0.01], [0.03, 0.02], [1.0, 1.0], "vacuous"),  # FM at the floor, TV small
+        ([0.01, 0.01], [0.03, 0.2], [1.0, 1.0], "fail"),      # FM at the floor, TV large
+        ([0.3, 0.2, 0.1], [0.3, 0.2, 0.1], [1.0, 1.0, 5.0], "fail"),  # ratio outlier
+        ([0.3, 0.04], [0.3, 0.06], [1.0, 1.0], "fail"),       # FM below threshold, TV not
+        ([0.3, 0.04], [0.3, 0.04], [1.0, 1.0], "pass"),
+    ])
+    def test_shigekawa(self, fms, tvs, ratios, verdict):
+        rows = [{"fm": _est(f), "tv": _est(t), "ratio": r}
+                for f, t, r in zip(fms, tvs, ratios)]
+        assert _shigekawa_verdict(rows, 0.05, 0.5, 0.02) == verdict
+
+    @pytest.mark.parametrize("pts, verdict", [
+        ([(1.0, 0.5), (0.0, 0.0), (0.5, 0.0)], "vacuous"),  # one usable point
+        ([(1.0, 0.5), (1e-4, 0.5)], "fail"),                # flat: slope 0
+        ([(1.0, 0.5), (1e-4, 0.5e-3)], "fail"),             # slope 0.75, constants 100x apart
+        ([(1.0, 0.5), (1e-4, 0.5e-1)], "pass"),             # slope 0.25, one constant
+    ])
+    def test_dm(self, pts, verdict):
+        rows = [{"kernel_dist": d, "tv": _est(t)} for d, t in pts]
+        got, slope = _dm_verdict(rows, 0.25, DM_SLOPE_SLACK, DM_STABILITY_FACTOR)
+        assert got == verdict
+        assert math.isnan(slope) == (verdict == "vacuous")
+
+    @pytest.mark.parametrize("field", ["cov_gap", "gram_gap", "det_mean", "det_var",
+                                       "joint_tv"])
+    def test_peccati_tudor(self, field):
+        def row(bad):
+            r = {"cov_gap": 0.1, "gram_gap": 0.1, "det_mean": 2.1, "det_var": 0.1,
+                 "joint_tv": _est(0.05)}
+            if bad:
+                r[field] = _est(0.5) if field == "joint_tv" else 0.2
+            return r
+        assert _peccati_tudor_verdict([row(False), row(False)], 2.0, 0.1) == "pass"
+        assert _peccati_tudor_verdict([row(False), row(True)], 2.0, 0.1) == "fail"
+
+    @pytest.mark.parametrize("fms, verdict", [
+        ([0.2, 0.3], "fail"),   # FM rises as the influence shrinks
+        ([0.3, 0.2], "fail"),   # last FM above the gate
+        ([0.3, 0.01], "pass"),
+    ])
+    def test_moo(self, fms, verdict):
+        rows = [{"max_influence": m, "fm": _est(f)} for m, f in zip([0.5, 0.1], fms)]
+        assert _moo_verdict(rows, 0.05) == verdict
+
+    @pytest.mark.parametrize("rows, verdict", [
+        ([(0.0, 0.0, 0.0)], "pass"),                     # identical members, zero TV
+        ([(0.0, 0.0, 0.01)], "fail"),                    # identical members, nonzero TV
+        ([(0.0, 0.0, 0.0), (0.5, 1.0, 0.3)], "vacuous"),  # one live member
+        ([(0.5, 1.0, 0.3), (0.25, 4.0, 0.2)], "fail"),    # constants 4x apart
+        ([(0.5, 1.0, 0.3), (0.25, 2.0, 0.2)], "pass"),
+    ])
+    def test_d12(self, rows, verdict):
+        rows = [{"d12_norm": n, "fitted_c": c, "tv": _est(t)} for n, c, t in rows]
+        assert _d12_verdict(rows, D12_STABILITY_FACTOR) == verdict

@@ -127,6 +127,19 @@ class TestReportsAndCsv:
         io.write_json_atomic({"x": 1}, str(path))
         assert sorted(os.listdir(tmp_path)) == ["r.json"]
 
+    def test_atomic_write_failure_keeps_old_target(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text("old")
+
+        def fail(fh):
+            fh.write("partial")
+            raise RuntimeError("writer failed")
+
+        with pytest.raises(RuntimeError, match="writer failed"):
+            io.write_atomic(str(path), fail)
+        assert sorted(os.listdir(tmp_path)) == ["r.json"]
+        assert path.read_text() == "old"
+
     def test_scalar_csv_header(self, tmp_path):
         batch = sample(basis_element(1, 1), 10, seed=3)
         path = tmp_path / "s.csv"
@@ -184,6 +197,22 @@ class TestCli:
         assert cli.main(["moments", "--chaos", str(path)]) == 2
         assert "error: /kernels/0: coefficient at index (1,) is not finite" in \
             capsys.readouterr().err
+
+    def test_moments_max_zero_exits_2(self, chaos_file, capsys):
+        assert cli.main(["moments", "--chaos", chaos_file, "--max", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --max must be >= 1" in captured.err
+
+    def test_invalid_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"dim": 1,')
+        out = tmp_path / "rep.json"
+        for argv in (["moments", "--chaos", str(path)],
+                     ["verify", "cw", "--config", str(path), "--out", str(out)]):
+            assert cli.main(argv) == 2
+            assert f"error: {path}: invalid JSON" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["bad.json"]
 
     @pytest.mark.parametrize("threads", ["0", "-1", "two"])
     def test_threads_must_be_positive(self, chaos_file, threads, capsys):
@@ -471,10 +500,12 @@ FUZZ_CHAOS = {"dim": 2, "constant": 0.5, "kernels": [
                                        {"idx": [1, 2], "coef": 0.25}]}]}
 
 DELETE = object()
-# small numbers only, so no mutation asks for a huge run
+RENAME = object()
+# small integers only, so no mutation asks for a huge run; the floats include
+# finite values near the limit, whose squares and pairwise products overflow
 SCALARS = (st.none() | st.booleans() | st.integers(-3, 5)
-           | st.sampled_from([0.0, 0.5, -1.0, 1e308, float("nan"), float("inf"),
-                              -float("inf")])
+           | st.sampled_from([0.0, 0.5, -1.0, 1e200, -1e200, 1e308, 1.7e308, -1.7e308,
+                              float("nan"), float("inf"), -float("inf")])
            | st.sampled_from(["", "x", "json", "csv", "standard-gaussian",
                               "rademacher", "discrete", "gaussian"]))
 JSON_VALUES = st.recursive(
@@ -493,18 +524,29 @@ def _paths(obj, prefix=()):
         yield from _paths(val, prefix + (key,))
 
 
+# every key of the base inputs, plus one that no reader knows
+KEY_NAMES = sorted({path[-1] for _, base in FUZZ_CONFIGS + [("chaos", FUZZ_CHAOS)]
+                    for path in _paths(base) if isinstance(path[-1], str)} | {"x"})
+
+
 @st.composite
 def mutated(draw, bases):
-    """One of bases with a single field replaced by a JSON value or deleted."""
+    """One of bases with a single field replaced by a JSON value, deleted,
+    or (for a key of an object) renamed to another known key."""
     name, base = draw(st.sampled_from(bases))
     path = draw(st.sampled_from(list(_paths(base))))
-    new = draw(st.just(DELETE) | SCALARS | st.lists(SCALARS, max_size=3) | JSON_VALUES)
+    change = st.just(DELETE) | SCALARS | st.lists(SCALARS, max_size=3) | JSON_VALUES
+    if isinstance(path[-1], str):
+        change |= st.just(RENAME)
+    new = draw(change)
     out = copy.deepcopy(base)
     parent = out
     for key in path[:-1]:
         parent = parent[key]
     if new is DELETE:
         del parent[path[-1]]
+    elif new is RENAME:
+        parent[draw(st.sampled_from(KEY_NAMES))] = parent.pop(path[-1])
     else:
         parent[path[-1]] = new
     return name, out
@@ -512,7 +554,8 @@ def mutated(draw, bases):
 
 class TestCliFuzz:
     """Mutated inputs keep the exit-code contract: 0, 1 or 2 and never an
-    exception; exit 1 only with a written report, exit 2 with none."""
+    exception; exit 1 only with a written report, exit 2 with none, and a
+    written report holds no NaN or Infinity."""
 
     @given(mutated(FUZZ_CONFIGS))
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -528,6 +571,10 @@ class TestCliFuzz:
                 assert os.path.exists(out)
             if code == 2:
                 assert not os.path.exists(out)
+            elif os.path.exists(out):
+                with open(out) as fh:
+                    text = fh.read()
+                assert "NaN" not in text and "Infinity" not in text
 
     @given(mutated([("chaos", FUZZ_CHAOS)]))
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -617,7 +664,11 @@ class TestNonFiniteResults:
         assert sorted(os.listdir(tmp_path)) == ["big.json"]
 
     @pytest.mark.parametrize("fmt, save", [("json", True), ("csv", True), ("json", False)])
-    def test_verify_pt_overflow(self, tmp_path, capsys, fmt, save):
+    def test_verify_pt_overflow(self, tmp_path, capsys, monkeypatch, fmt, save):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the target was checked")
+
+        monkeypatch.setattr(experiments, "sample", no_sampling)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"seed": 1, "n_samples": 10_000, "indices": [2],
                                         "covariance": [[1e308, 0.0], [0.0, 1.0]],
@@ -625,7 +676,7 @@ class TestNonFiniteResults:
         out = tmp_path / "rep.out"
         argv = ["verify", "pt", "--config", str(cfg_path)] + (["--out", str(out)] if save else [])
         assert cli.main(argv) == 2
-        assert "error: report/rows/0/gram_gap: expected a finite number" in \
+        assert "error: det Gamma target det(C) prod k_i = inf is not finite" in \
             capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
