@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -205,6 +205,13 @@ def multiply(f_el: ChaosElement, g_el: ChaosElement) -> ChaosElement:
     return _element(f_el.dim, const, acc)
 
 
+def _finite(value: float, quantity: str) -> float:
+    """value, or ValueError naming the quantity when it is not finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{quantity} is not finite: {value}")
+    return value
+
+
 def expectation(fel: ChaosElement) -> float:
     return fel.constant
 
@@ -218,7 +225,7 @@ def covariance(f_el: ChaosElement, g_el: ChaosElement) -> float:
         g = g_el.kernels.get(k)
         if g is not None:
             total += math.factorial(k) * inner(f, g)
-    return total
+    return _finite(total, "covariance")
 
 
 def variance(fel: ChaosElement) -> float:
@@ -279,14 +286,14 @@ def _single_chaos_moment(f: SymmetricKernel, m: int) -> float:
         if q % 2:
             return 0.0
         weight = math.factorial(q) * _product_weight(q, q, q // 2)
-        return weight * inner(f, sym_contract(f, f, q // 2))
+        return _finite(weight * inner(f, sym_contract(f, f, q // 2)), "moment 3")
     sigma2 = math.factorial(q) * f.norm_sq()
     total = 3.0 * sigma2 * sigma2
     for r in range(1, q):
         weight = (3 * math.comb(q - 1, r - 1) * math.comb(q, r) ** 3
                   * math.factorial(r) ** 2 * math.factorial(2 * q - 2 * r))
         total += weight * sym_contract(f, f, r).norm_sq()
-    return total
+    return _finite(total, "moment 4")
 
 
 def evaluate_batch(fel: ChaosElement, x: np.ndarray) -> np.ndarray:
@@ -294,7 +301,9 @@ def evaluate_batch(fel: ChaosElement, x: np.ndarray) -> np.ndarray:
 
     Each sorted multi-index contributes perm_count * coefficient times a
     product of per-label Hermite factors, which is Ito's identity for
-    multiple integrals of basis tensors.
+    multiple integrals of basis tensors.  A value that overflows comes
+    back as inf or nan without a numpy warning; the output gates
+    (io.value, io.save_samples_csv, the distance estimators) refuse it.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != fel.dim:
@@ -311,13 +320,14 @@ def evaluate_batch(fel: ChaosElement, x: np.ndarray) -> np.ndarray:
             tables[v] = tab
         return tab[m]
 
-    for ker in fel.kernels.values():
-        for alpha, c in ker.entries.items():
-            (v, m), *rest = _multiplicities(alpha).items()
-            term = factor(v, m) * (perm_count(alpha) * c)
-            for v, m in rest:
-                term *= factor(v, m)
-            out += term
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ker in fel.kernels.values():
+            for alpha, c in ker.entries.items():
+                (v, m), *rest = _multiplicities(alpha).items()
+                term = factor(v, m) * (perm_count(alpha) * c)
+                for v, m in rest:
+                    term *= factor(v, m)
+                out += term
     return out
 
 
@@ -371,49 +381,42 @@ def gaussian_matrix(dim: int, n_samples: int, seed: int, start: int = 0,
     return _draw_matrix(rng.gaussians, dim, n_samples, seed, start, workers)
 
 
-def _stream_rows(n_samples: int, dim: int, block, workers: int) -> None:
-    """Call block(lo, hi, workers) on consecutive row ranges that cover
-    0..n_samples, each of about _SAMPLE_BLOCK input elements.
-
-    A block draws rows lo..hi-1 at their own counters and evaluates them
-    into the caller's output, so the full (n_samples, dim) input never
-    exists.  One block gets all the workers for its draw; several blocks
-    share one pool of workers threads and draw with one thread each.
-    """
-    rows = max(1, _SAMPLE_BLOCK // dim)
-    spans = [(lo, min(lo + rows, n_samples)) for lo in range(0, n_samples, rows)]
-    if len(spans) == 1:
-        block(*spans[0], workers)
-    else:
-        _each(lambda span: block(*span, 1), spans, workers)
-
-
 def sample(target: ChaosElement | ChaosVector, n_samples: int, seed: int,
-           workers: int = 1) -> SampleBatch:
-    """Draw n_samples evaluations under iid standard Gaussian coordinates.
+           workers: int = 1, draw=None) -> SampleBatch:
+    """Draw n_samples evaluations of target under iid input coordinates.
 
-    Sample i is the target at row i of gaussian_matrix(dim, n_samples, seed).
-    The rows are drawn and evaluated in blocks of about _SAMPLE_BLOCK
-    coordinates, so peak memory is bounded by a block rather than by
-    n_samples * dim.  Deterministic per (seed, n_samples): blocks and the
-    worker count only partition the counter stream and cannot change any
-    value.
+    Coordinate c of sample i is counter i * dim + c of draw(seed, first,
+    count), an rng generator such as rng.rademacher or rng.discrete bound
+    to a law; draw=None draws standard Gaussians through gaussian_matrix.
+    Rows are drawn at their own counters and evaluated in blocks of about
+    _SAMPLE_BLOCK coordinates, so peak memory is bounded by a block, not
+    by n_samples * dim.  One block gets all the workers for its draw;
+    several blocks share one pool of workers threads, one thread each.
+    Blocks and workers only partition the counter stream and cannot
+    change any value.
     """
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
     vector = isinstance(target, ChaosVector)
     parts = target.components if vector else (target,)
+    dim = target.dim
     out = np.empty((n_samples, len(parts)))
+    rows = max(1, _SAMPLE_BLOCK // dim)
+    spans = [(lo, min(lo + rows, n_samples)) for lo in range(0, n_samples, rows)]
+    block_workers = workers if len(spans) == 1 else 1
+    matrix = gaussian_matrix if draw is None else partial(_draw_matrix, draw)
 
-    def block(lo: int, hi: int, workers: int) -> None:
-        x = gaussian_matrix(target.dim, hi - lo, seed, start=lo, workers=workers)
+    def block(span) -> None:
+        lo, hi = span
+        x = matrix(dim, hi - lo, seed, start=lo, workers=block_workers)
         for j, fel in enumerate(parts):
             out[lo:hi, j] = evaluate_batch(fel, x)
 
-    _stream_rows(n_samples, target.dim, block, workers)
+    _each(block, spans, workers)
+    law = "gauss-bm" if draw is None else "draw"
     if vector:
-        return SampleBatch(out, seed, f"gauss-bm:dim={target.dim}:d={len(target)}")
-    return SampleBatch(out[:, 0], seed, f"gauss-bm:dim={target.dim}")
+        return SampleBatch(out, seed, f"{law}:dim={dim}:d={len(target)}")
+    return SampleBatch(out[:, 0], seed, f"{law}:dim={dim}")
 
 
 def mderiv(fel: ChaosElement, i: int) -> ChaosElement:
@@ -469,7 +472,7 @@ def check_ibp(f_el: ChaosElement, g_el: ChaosElement,
 
 def expectation_of_product(f_el: ChaosElement, g_el: ChaosElement) -> float:
     """E[F G] through the isometry, without materializing the product."""
-    return f_el.constant * g_el.constant + covariance(f_el, g_el)
+    return _finite(f_el.constant * g_el.constant + covariance(f_el, g_el), "E[FG]")
 
 
 def malliavin_matrix(vec: ChaosVector) -> list[list[ChaosElement]]:

@@ -16,9 +16,7 @@ vacuous rather than silently passed.
 
 from __future__ import annotations
 
-import functools
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -26,12 +24,11 @@ import numpy as np
 
 from . import rng
 from .chaos import (ChaosElement, ChaosVector, OrderCapError, SampleBatch,
-                    _draw_matrix, _stream_rows, basis_element, carre_du_champ,
-                    check_ibp, constant_element, covariance, det_chaos,
-                    evaluate_batch, expectation, expectation_of_product,
-                    gaussian_matrix, linear_combine, malliavin_matrix, mderiv,
-                    moment, multiply, project, sample, single_integral,
-                    variance)
+                    basis_element, carre_du_champ, check_ibp,
+                    constant_element, covariance, det_chaos, evaluate_batch,
+                    expectation, expectation_of_product, linear_combine,
+                    malliavin_matrix, mderiv, moment, multiply, project,
+                    sample, single_integral, variance)
 from .distances import (_covariance_2x2, fm_two_samples, small_ball,
                         tv_multivariate, tv_two_samples, tv_vs_density)
 from .kernels import SymmetricKernel, kernel_add, make_kernel
@@ -59,18 +56,6 @@ class ExperimentReport:
     rows: list[dict]
     verdict: str  # "pass" | "fail" | "vacuous"
     notes: list[str] = field(default_factory=list)
-    wall_clock: float = 0.0  # seconds; not serialized, reports stay byte-stable
-
-
-def _timed(experiment):
-    """Set the returned report's wall_clock to the seconds the whole call took."""
-    @functools.wraps(experiment)
-    def run(*args, **kwargs) -> ExperimentReport:
-        t0 = time.perf_counter()
-        rep = experiment(*args, **kwargs)
-        rep.wall_clock = time.perf_counter() - t0
-        return rep
-    return run
 
 
 # ---------------------------------------------------------------------------
@@ -200,34 +185,29 @@ def sample_multilinear(spec: MultilinearSpec, n_samples: int, seed: int,
                        workers: int = 1) -> SampleBatch:
     """Draw n_samples evaluations of spec under iid inputs from its law.
 
-    Coordinate c of sample i is draw (seed, i * dim + c) of the law's
-    generator.  The rows are drawn and evaluated in blocks of about
-    2^20 coordinates, each drawn in cache-sized pieces by _draw_matrix, so
-    the full (n_samples, dim) input never exists; blocks, pieces and the
-    worker count cannot change a value.
+    This is chaos.sample of multilinear_to_chaos(spec) with the law's
+    generator as draw: coordinate c of sample i is draw (seed, i * dim + c),
+    and blocks, pieces and the worker count cannot change a value.  The
+    values are multilinear_eval's on the same inputs bit for bit, except
+    in the last bit (by at most 4.4e-16 where measured) in two cases:
+    subsets listed with degrees interleaved or the constant not first,
+    which changes the summation order, and a degree k >= 3 coefficient c
+    with k! * (c / k!) != c, such as 0.123456789 at k = 3.
     """
-    dim = spec.dim
-    out = np.empty(n_samples)
     if spec.law == "gaussian":
-        matrix = gaussian_matrix
+        draw = None
     elif spec.law == "rademacher":
-        matrix = functools.partial(_draw_matrix, rng.rademacher)
+        draw = rng.rademacher
     else:
-        matrix = functools.partial(_draw_matrix, lambda s, first, count: rng.discrete(
-            s, first, count, spec.law_values, spec.law_probs))
-
-    def block(lo: int, hi: int, workers: int) -> None:
-        out[lo:hi] = multilinear_eval(spec, matrix(dim, hi - lo, seed, start=lo,
-                                                   workers=workers))
-
-    _stream_rows(n_samples, dim, block, workers)
-    return SampleBatch(out, seed, f"multilinear-{spec.law}:dim={dim}")
+        def draw(s, first, count):
+            return rng.discrete(s, first, count, spec.law_values, spec.law_probs)
+    batch = sample(multilinear_to_chaos(spec), n_samples, seed, workers=workers, draw=draw)
+    return SampleBatch(batch.values, seed, f"multilinear-{spec.law}:dim={spec.dim}")
 
 
 # ---------------------------------------------------------------------------
 # experiments
 
-@_timed
 def fourth_moment_certificate(k: int, members: Sequence[tuple[float, ChaosElement]],
                               n_samples: int, seed: int,
                               workers: int = 1) -> ExperimentReport:
@@ -276,7 +256,6 @@ def _all_rows_verdict(rows: Sequence[dict]) -> str:
     return "pass"
 
 
-@_timed
 def shigekawa_rate(p: int, members: Sequence[tuple[float, ChaosElement]],
                    f_inf: ChaosElement, n_samples: int, seed: int,
                    workers: int = 1) -> ExperimentReport:
@@ -331,7 +310,6 @@ def _shigekawa_verdict(rows: Sequence[dict], tv_threshold: float,
     return "pass"
 
 
-@_timed
 def dm_rate(k: int, f_inf: SymmetricKernel,
             perturbations: Sequence[tuple[float, SymmetricKernel]],
             n_samples: int, seed: int, workers: int = 1) -> ExperimentReport:
@@ -387,7 +365,6 @@ def _dm_verdict(rows: Sequence[dict], expo: float, slope_slack: float,
     return "pass", slope
 
 
-@_timed
 def carbery_wright_probe(q_el: ChaosElement, alphas: Sequence[float],
                          n_samples: int, seed: int, workers: int = 1) -> ExperimentReport:
     """Anti-concentration of a Gaussian polynomial across thresholds.
@@ -416,7 +393,6 @@ def carbery_wright_probe(q_el: ChaosElement, alphas: Sequence[float],
                                    f"max normalized ratio {worst:.4f} (gate {CONSTANT_GATE})"])
 
 
-@_timed
 def df_small_ball_probe(fel: ChaosElement, lambdas: Sequence[float],
                         n_samples: int, seed: int, workers: int = 1) -> ExperimentReport:
     """Small-ball behavior of the Malliavin gradient norm.
@@ -455,7 +431,6 @@ def df_small_ball_probe(fel: ChaosElement, lambdas: Sequence[float],
                                    f"{expectation(grad_sq):.6f}"])
 
 
-@_timed
 def peccati_tudor_run(k_list: Sequence[int],
                       vectors: Sequence[tuple[float, ChaosVector]],
                       cov: np.ndarray, n_samples: int, seed: int,
@@ -529,7 +504,6 @@ def _peccati_tudor_verdict(rows: Sequence[dict], gamma_target: float,
     return "pass" if rows[-1]["joint_tv"]["value"] <= joint_gate else "fail"
 
 
-@_timed
 def moo_invariance(specs: Sequence[MultilinearSpec], n_samples: int, seed: int,
                    fm_gate: float = 0.05, workers: int = 1) -> ExperimentReport:
     """Invariance principle for multilinear polynomials with low influences.
@@ -564,7 +538,6 @@ def _moo_verdict(rows: Sequence[dict], fm_gate: float) -> str:
     return "pass" if fms[-1] <= fm_gate else "fail"
 
 
-@_timed
 def d12_rate_probe(members: Sequence[tuple[float, ChaosElement]],
                    f_inf: ChaosElement, alpha: float, n_samples: int,
                    seed: int, workers: int = 1) -> ExperimentReport:
@@ -646,7 +619,6 @@ def _coeff_gap(a: ChaosElement, b: ChaosElement) -> float:
     return worst
 
 
-@_timed
 def identity_suite(trials: int, seed: int) -> ExperimentReport:
     """Exact algebraic identities on random sparse elements.
 

@@ -156,7 +156,6 @@ def chaos_from_dict(obj: dict, where: str = "/chaos") -> ChaosElement:
 
 
 def report_to_dict(rep: ExperimentReport) -> dict:
-    # wall_clock stays out so identical (config, seed) runs serialize identically
     return {"experiment": rep.experiment, "seed": rep.seed, "rows": rep.rows,
             "verdict": rep.verdict, "notes": rep.notes}
 

@@ -76,6 +76,24 @@ class TestFiniteResults:
                            match=r"^order-1 coefficient at index \(2,\) is not finite: inf$"):
             linear_combine([(1.0, big), (1.0, big)])
 
+    def test_variance_that_overflows(self):
+        fel = single_integral(make_kernel(1, 2, [((1,), 1e200), ((2,), 1.0)]))
+        with pytest.raises(ValueError, match=r"^covariance is not finite: inf$"):
+            variance(fel)
+
+    def test_product_of_constants_that_overflows(self):
+        big = constant_element(2, 1e200)
+        with pytest.raises(ValueError, match=r"^E\[FG\] is not finite: inf$"):
+            expectation_of_product(big, big)
+
+    @pytest.mark.parametrize("fel, m", [
+        (single_integral(make_kernel(1, 2, [((1,), 1e200), ((2,), 1.0)])), 4),
+        (single_integral(make_kernel(2, 2, [((1, 1), 1e110)])), 3),
+        (single_integral(make_kernel(2, 2, [((1, 2), 1e80)])), 4)])
+    def test_single_chaos_moment_that_overflows(self, fel, m):
+        with pytest.raises(ValueError, match=rf"^moment {m} is not finite: inf$"):
+            moment(fel, m)
+
 
 class TestProject:
     def test_constant_slot(self):
@@ -469,6 +487,21 @@ class TestStreamedSampling:
         want = np.column_stack([evaluate_batch(c, x) for c in vec.components])
         for workers in (1, 2):
             assert _same_bits(sample(vec, self.N, 22, workers=workers).values, want)
+
+    def test_draw_bit_for_bit(self):
+        # repeated labels take the Hermite path of evaluate_batch
+        fel = linear_combine([
+            (1.0, constant_element(self.DIM, 0.5)),
+            (1.0, single_integral(make_kernel(3, self.DIM, [((1, 1, 3), 0.7), ((2, 5, 7), 0.2)]))),
+            (1.0, single_integral(make_kernel(2, self.DIM, [((4, 4), -1.1), ((1, 6), 0.3)])))])
+        vec = ChaosVector((fel, basis_element(self.DIM, 1), project(fel, 3)))
+        x = rng.rademacher(25, 0, self.N * self.DIM).reshape(self.N, self.DIM)
+        want = np.column_stack([evaluate_batch(c, x) for c in vec.components])
+        for workers in (1, 2):
+            got = sample(fel, self.N, 25, workers=workers, draw=rng.rademacher)
+            assert _same_bits(got.values, want[:, 0])
+            got = sample(vec, self.N, 25, workers=workers, draw=rng.rademacher)
+            assert _same_bits(got.values, want)
 
     @pytest.mark.parametrize("start", [0, 1, 9363, 20_000])
     def test_gaussian_matrix_start_is_a_row_offset(self, start):

@@ -114,13 +114,12 @@ class TestChaosFiles:
 class TestReportsAndCsv:
     def test_report_round_trip(self, tmp_path):
         rep = ExperimentReport("demo", 7, [{"a": 1.0, "b": [1, 2]}], "pass",
-                               notes=["note"], wall_clock=1.23)
+                               notes=["note"])
         path = tmp_path / "r.json"
         io.save_report(rep, str(path))
         back = io.load_report(str(path))
         assert back.experiment == "demo" and back.seed == 7
         assert back.rows == rep.rows and back.verdict == "pass"
-        assert back.wall_clock == 0.0  # volatile field is not serialized
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         path = tmp_path / "r.json"
@@ -317,14 +316,14 @@ class TestCli:
         assert cli.main(["verify", "moo", "--config", str(cfg_path)]) in (0, 1)
 
     def test_verify_moo_threads_reach_sampling(self, tmp_path, monkeypatch):
-        import chaoslab.experiments as experiments
-        real, seen = experiments.gaussian_matrix, []
+        import chaoslab.chaos as chaos
+        real, seen = chaos.gaussian_matrix, []
 
         def spy(*args, workers=1, **kwargs):
             seen.append(workers)
             return real(*args, workers=workers, **kwargs)
 
-        monkeypatch.setattr(experiments, "gaussian_matrix", spy)
+        monkeypatch.setattr(chaos, "gaussian_matrix", spy)
         # more than one 2^16-row chunk, so two workers really split the draw
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"seed": 4, "n_samples": 70_000, "sizes": [3]}))
@@ -648,7 +647,7 @@ class TestNonFiniteResults:
         assert cli.main(["moments", "--chaos", big_file, "--max", "4"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: m2: expected a finite number" in captured.err
+        assert "error: covariance is not finite: inf" in captured.err
 
     def test_eval(self, big_file, capsys):
         assert cli.main(["eval", "--chaos", big_file, "--point", "2,0"]) == 2
@@ -661,6 +660,20 @@ class TestNonFiniteResults:
         assert cli.main(["sample", "--chaos", big_file, "-n", "10", "--seed", "1",
                          "--out", str(out)]) == 2
         assert "error: samples/" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["big.json"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--point", "2,0"], "error: eval: expected a finite number"),
+        (["sample", "-n", "10", "--seed", "1", "--out", "s.csv"], "error: samples/")])
+    def test_overflow_is_bad_input_under_warnings_as_errors(self, big_file, tmp_path,
+                                                             argv, message):
+        # numpy's overflow warning must not turn exit 2 into a traceback
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "chaoslab.cli",
+                               argv[0], "--chaos", big_file] + argv[1:],
+                              capture_output=True, text=True, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == "" and message in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert sorted(os.listdir(tmp_path)) == ["big.json"]
 
     @pytest.mark.parametrize("fmt, save", [("json", True), ("csv", True), ("json", False)])
