@@ -1,10 +1,14 @@
 """Finite chaos expansions as first-class values.
 
 A ChaosElement is E[F] plus one symmetric kernel per active order,
-realizing F = c + sum_k I_k(f_k) over n iid standard Gaussians.  The
-product formula turns multiplication into contractions, which makes
-every moment a finite exact computation; the Malliavin derivative,
-carre du champ and Ornstein-Uhlenbeck generator are kernel surgery.
+realizing F = c + sum_k I_k(f_k) over n iid standard Gaussians.  On a
+sorted index alpha, I_k(f) carries the Hermite monomial
+prod_v H_{m_v}(X_v), so multiply and carre_du_champ expand entry pairs
+label by label through H_a H_b = sum_r r! C(a,r) C(b,r) H_{a+b-2r},
+which makes every moment a finite exact computation without contracting
+kernels.  Only the single-chaos third and fourth moments still contract
+(kernels.sym_contract).  The Malliavin derivative and Ornstein-Uhlenbeck
+generator are kernel surgery.
 
 Multiplication is capped at total order ORDER_CAP, the same cap that
 bounds kernel orders in kernels.py, to bound the combinatorial blowup.
@@ -21,6 +25,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache, partial
+from itertools import combinations_with_replacement, product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -161,21 +166,80 @@ def _element(dim: int, const: float, acc: dict[int, dict[Index, float]]) -> Chao
                                      for k, slot in acc.items() if slot})
 
 
+def _hermite_entries(fel: ChaosElement) -> list[tuple[Index, dict[int, int], float, int]]:
+    """Every kernel entry (alpha, c) of fel as (alpha, multiplicities, c, k!).
+    I_k(f) carries perm_count(alpha) c prod_v H_{m_v}(X_v) at alpha, with
+    perm_count(alpha) = k! / prod_v m_v!: k! c on prod_v H_{m_v}(X_v) / m_v!.
+    The factor k! stays apart from c, so that a coefficient near the float
+    limit only overflows where the product does."""
+    return [(alpha, _multiplicities(alpha), c, math.factorial(k))
+            for k, ker in fel.kernels.items() for alpha, c in ker.entries.items()]
+
+
+@cache
+def _shared_terms(shape: tuple[tuple[int, int], ...],
+                  first_r: int) -> tuple[tuple[tuple[int, ...], float], ...]:
+    """Expand prod_i (H_{a_i}/a_i!)(H_{b_i}/b_i!) over the shared labels of
+    shape ((a_1, b_1), ...), label by label through
+    H_a H_b = sum_r r! C(a,r) C(b,r) H_{a+b-2r}, divided by a! b!.  Each
+    choice of the r_i gives a term (positions, weight): position i appears
+    a_i + b_i - 2 r_i times, and the weight is
+    prod_i (a_i+b_i-2r_i)! / (r_i! (a_i-r_i)! (b_i-r_i)!), times R = sum_i r_i
+    when first_r = 1, which drops R = 0.  Shapes carry no labels, so
+    ORDER_CAP bounds how many there are."""
+    terms = [((), 1, 1, 0)]
+    for i, (a, b) in enumerate(shape):
+        terms = [(pos + (i,) * (a + b - 2 * r), num * math.factorial(a + b - 2 * r),
+                  den * math.factorial(r) * math.factorial(a - r) * math.factorial(b - r),
+                  big_r + r)
+                 for pos, num, den, big_r in terms for r in range(min(a, b) + 1)]
+    return tuple((pos, big_r ** first_r * num / den)
+                 for pos, num, den, big_r in terms if big_r or not first_r)
+
+
 def _expand_pairs(f_el: ChaosElement, g_el: ChaosElement, first_r: int,
                   const: float, acc: dict[int, dict[Index, float]]) -> float:
-    """Add sum_{k,l,r >= first_r} w I_{k+l-2r}(f_k sym-contract_r g_l) into acc
-    with w = r^first_r r! C(k,r) C(l,r); full contractions (k = l = r) go into
-    const, which is returned.  first_r = 0 is the product formula; first_r = 1
-    is the carre du champ (L(FG) - F LG - G LF) / 2, since L scales the order
-    k+l-2r product term by -(k+l-2r) and F LG + G LF scales it by -(k+l)."""
-    for k, f in f_el.kernels.items():
-        for l, g in g_el.kernels.items():
-            for r in range(first_r, min(k, l) + 1):
-                w = r ** first_r * _product_weight(k, l, r)
-                if k + l - 2 * r == 0:
-                    const += w * inner(f, g)
-                else:
-                    _add_scaled(acc.setdefault(k + l - 2 * r, {}), sym_contract(f, g, r), w)
+    """Add the kernel-pair part of F G (first_r = 0) or of the carre du
+    champ <DF, DG> (first_r = 1) into acc; the order-0 part goes into
+    const, which is returned.
+
+    Entries multiply as monomials (_hermite_entries), label by label: a
+    label only one side carries passes through, and the shared labels
+    expand by _shared_terms.  The summed coefficient of a sorted index
+    gamma of order n, divided by n!, is its kernel entry.  The carre du
+    champ is (L(FG) - F LG - G LF) / 2: L scales a term that pairs off R
+    shared-label copies (order k+l-2R) by -(k+l-2R), and F LG + G LF
+    scales it by -(k+l), so the carre du champ weights it by R.  F F
+    takes each unordered pair of entries once, at twice the weight.
+    """
+    herm: dict[Index, float] = {}
+    square = g_el is f_el
+    f_entries = _hermite_entries(f_el)
+    pairs = (combinations_with_replacement(f_entries, 2) if square
+             else product(f_entries, _hermite_entries(g_el)))
+    for (alpha, am, c, fk), (beta, bm, d, fl) in pairs:
+        hh = c * d * (2 * fk * fl if square and alpha != beta else fk * fl)
+        shared = am.keys() & bm.keys()
+        if not shared:
+            if not first_r:
+                gamma = tuple(sorted(alpha + beta))
+                herm[gamma] = herm.get(gamma, 0.0) + hh
+            continue
+        labels = sorted(shared)
+        rest = [v for v in alpha + beta if v not in shared]
+        for pos, w in _shared_terms(tuple([(am[v], bm[v]) for v in labels]), first_r):
+            gamma = tuple(sorted(rest + [labels[i] for i in pos]))
+            herm[gamma] = herm.get(gamma, 0.0) + w * hh
+    for gamma, h in herm.items():
+        if not gamma:
+            const += h
+            continue
+        slot = acc.setdefault(len(gamma), {})
+        s = slot.get(gamma, 0.0) + h / math.factorial(len(gamma))
+        if s == 0.0:
+            slot.pop(gamma, None)
+        else:
+            slot[gamma] = s
     return const
 
 
@@ -187,9 +251,10 @@ def _product_weight(k: int, l: int, r: int) -> int:
 def multiply(f_el: ChaosElement, g_el: ChaosElement) -> ChaosElement:
     """Exact chaos expansion of the pointwise product.
 
-    Each kernel pair (order k, order l) expands through the product
-    formula  I_k(f) I_l(g) = sum_r r! C(k,r) C(l,r) I_{k+l-2r}(sym contraction),
-    with the full contraction feeding the constant.
+    Each pair of kernel entries multiplies as Hermite monomials, label by
+    label (_expand_pairs); summed over entries this is the product
+    formula  I_k(f) I_l(g) = sum_r r! C(k,r) C(l,r) I_{k+l-2r}(f sym-contract_r g),
+    computed without contractions.  Order-0 terms feed the constant.
     """
     if f_el.dim != g_el.dim:
         raise ValueError(f"dim mismatch: {f_el.dim} vs {g_el.dim}")
@@ -439,10 +504,12 @@ def mderiv(fel: ChaosElement, i: int) -> ChaosElement:
 
 
 def carre_du_champ(f_el: ChaosElement, g_el: ChaosElement) -> ChaosElement:
-    """Chaos expansion of <DF, DG> via the closed contraction formula.
+    """Chaos expansion of <DF, DG>, label by label like multiply.
 
-    <DF, DG> = sum_{k,l} sum_{r=1}^{k^l} r r! C(k,r) C(l,r) I_{k+l-2r}(f_k sym-contract_r g_l),
-    r times the product weight; it lives in orders <= max_order(F) + max_order(G) - 2.
+    It equals sum_{k,l} sum_{r=1}^{k^l} r r! C(k,r) C(l,r) I_{k+l-2r}(f_k sym-contract_r g_l),
+    r times the product weight; on a pair of Hermite monomials the weight
+    is R, the number of shared-label copies paired off (_expand_pairs).
+    It lives in orders <= max_order(F) + max_order(G) - 2.
     """
     if f_el.dim != g_el.dim:
         raise ValueError(f"dim mismatch: {f_el.dim} vs {g_el.dim}")
@@ -491,6 +558,8 @@ def det_chaos(mat: Sequence[Sequence[ChaosElement]]) -> ChaosElement:
     """Determinant of a small matrix of chaos elements (d <= 3) by Laplace
     expansion along the first row: sum_j (-1)^j mat[0][j] det(minor_j)."""
     d = len(mat)
+    if d == 0:
+        raise ValueError("determinant of an empty matrix: need 1 <= d <= 3 rows")
     if any(len(row) != d for row in mat):
         raise ValueError("matrix must be square")
     if d > 3:

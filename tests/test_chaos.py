@@ -397,6 +397,10 @@ class TestDetChaos:
         with pytest.raises(ValueError, match="d <= 3"):
             det_chaos([[c] * 4 for _ in range(4)])
 
+    def test_empty_matrix_is_named(self):
+        with pytest.raises(ValueError, match="empty matrix"):
+            det_chaos([])
+
 
 class TestSampling:
     def test_constant_batch(self):
