@@ -404,46 +404,28 @@ def evaluate(fel: ChaosElement, x: Sequence[float]) -> float:
     return float(evaluate_batch(fel, x[None, :])[0])
 
 
-def _each(fill, spans, workers: int) -> None:
-    """fill(span) for every span, on a pool of workers threads when there
-    are several spans and workers > 1."""
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, spans))
-    else:
-        for span in spans:
-            fill(span)
-
-
-def _draw_matrix(draw, dim: int, n_samples: int, seed: int, start: int = 0,
-                workers: int = 1) -> np.ndarray:
+def _draw_matrix(draw, dim: int, n_samples: int, seed: int, start: int = 0) -> np.ndarray:
     """Rows of iid draws from draw(seed, first_counter, count), one of the
     rng generators; row i depends only on (seed, start + i).
 
     Entry (i, c) is draw counter (start + i) * dim + c.  The output is
     filled as one flat array in pieces of _SAMPLE_CHUNK draws, small
-    enough for the generator's temporaries to stay in cache; workers > 1
-    spreads the pieces over threads.  Neither can change a value.
+    enough for the generator's temporaries to stay in cache; the pieces
+    cannot change a value.
     """
     out = np.empty((n_samples, dim))
     flat = out.reshape(-1)
     first = start * dim
-    spans = [(lo, min(lo + _SAMPLE_CHUNK, flat.size))
-             for lo in range(0, flat.size, _SAMPLE_CHUNK)]
-
-    def fill(span):
-        lo, hi = span
+    for lo in range(0, flat.size, _SAMPLE_CHUNK):
+        hi = min(lo + _SAMPLE_CHUNK, flat.size)
         flat[lo:hi] = draw(seed, first + lo, hi - lo)
-
-    _each(fill, spans, workers)
     return out
 
 
-def gaussian_matrix(dim: int, n_samples: int, seed: int, start: int = 0,
-                    workers: int = 1) -> np.ndarray:
+def gaussian_matrix(dim: int, n_samples: int, seed: int, start: int = 0) -> np.ndarray:
     """Rows are iid N(0, I_dim); entry (i, c) is Gaussian counter
     (start + i) * dim + c, drawn in cache-sized pieces by _draw_matrix."""
-    return _draw_matrix(rng.gaussians, dim, n_samples, seed, start, workers)
+    return _draw_matrix(rng.gaussians, dim, n_samples, seed, start)
 
 
 def sample(target: ChaosElement | ChaosVector, n_samples: int, seed: int,
@@ -453,12 +435,15 @@ def sample(target: ChaosElement | ChaosVector, n_samples: int, seed: int,
     Coordinate c of sample i is counter i * dim + c of draw(seed, first,
     count), an rng generator such as rng.rademacher or rng.discrete bound
     to a law; draw=None draws standard Gaussians through gaussian_matrix.
-    Rows are drawn at their own counters and evaluated in blocks of about
-    _SAMPLE_BLOCK coordinates, so peak memory is bounded by a block, not
-    by n_samples * dim.  One block gets all the workers for its draw;
-    several blocks share one pool of workers threads, one thread each.
-    Blocks and workers only partition the counter stream and cannot
-    change any value.
+    Rows are cut into blocks of at most _SAMPLE_BLOCK coordinates and
+    ceil(n_samples / workers) rows, but never fewer rows than one
+    _SAMPLE_CHUNK piece holds, so a large worker count cannot cut tiny
+    blocks and start a thread for each.  Each block is drawn at its own
+    counters and then evaluated.  With workers > 1 and several blocks, a
+    pool of workers threads takes whole blocks; otherwise they run in
+    turn.  Peak memory is bounded by one block per worker, not by
+    n_samples * dim.  Blocks and workers only partition the counter
+    stream and the rows, and cannot change any value.
     """
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
@@ -466,18 +451,23 @@ def sample(target: ChaosElement | ChaosVector, n_samples: int, seed: int,
     parts = target.components if vector else (target,)
     dim = target.dim
     out = np.empty((n_samples, len(parts)))
-    rows = max(1, _SAMPLE_BLOCK // dim)
+    per_worker = max(_SAMPLE_CHUNK // dim, -(-n_samples // workers))
+    rows = max(1, min(_SAMPLE_BLOCK // dim, per_worker))
     spans = [(lo, min(lo + rows, n_samples)) for lo in range(0, n_samples, rows)]
-    block_workers = workers if len(spans) == 1 else 1
     matrix = gaussian_matrix if draw is None else partial(_draw_matrix, draw)
 
     def block(span) -> None:
         lo, hi = span
-        x = matrix(dim, hi - lo, seed, start=lo, workers=block_workers)
+        x = matrix(dim, hi - lo, seed, start=lo)
         for j, fel in enumerate(parts):
             out[lo:hi, j] = evaluate_batch(fel, x)
 
-    _each(block, spans, workers)
+    if workers > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(block, spans))
+    else:
+        for span in spans:
+            block(span)
     law = "gauss-bm" if draw is None else "draw"
     if vector:
         return SampleBatch(out, seed, f"{law}:dim={dim}:d={len(target)}")
@@ -509,10 +499,14 @@ def carre_du_champ(f_el: ChaosElement, g_el: ChaosElement) -> ChaosElement:
     It equals sum_{k,l} sum_{r=1}^{k^l} r r! C(k,r) C(l,r) I_{k+l-2r}(f_k sym-contract_r g_l),
     r times the product weight; on a pair of Hermite monomials the weight
     is R, the number of shared-label copies paired off (_expand_pairs).
-    It lives in orders <= max_order(F) + max_order(G) - 2.
+    It lives in orders <= max_order(F) + max_order(G) - 2, and raises
+    OrderCapError when that exceeds ORDER_CAP, as multiply does.
     """
     if f_el.dim != g_el.dim:
         raise ValueError(f"dim mismatch: {f_el.dim} vs {g_el.dim}")
+    top = f_el.max_order + g_el.max_order - 2
+    if top > ORDER_CAP:
+        raise OrderCapError(f"carre du champ order {top} exceeds cap {ORDER_CAP}")
     acc: dict[int, dict[Index, float]] = {}
     const = _expand_pairs(f_el, g_el, 1, 0.0, acc)
     return _element(f_el.dim, const, acc)

@@ -518,9 +518,8 @@ def moo_invariance(specs: Sequence[MultilinearSpec], n_samples: int, seed: int,
     rows = []
     for pos, spec in enumerate(specs):
         xs = sample_multilinear(spec, n_samples, rng.derive(seed, 2 * pos), workers=workers)
-        gauss = MultilinearSpec(spec.coeffs, law="gaussian")
-        gs = sample_multilinear(gauss, n_samples, rng.derive(seed, 2 * pos + 1),
-                                workers=workers)
+        gs = sample(multilinear_to_chaos(spec), n_samples, rng.derive(seed, 2 * pos + 1),
+                    workers=workers)
         fm = fm_two_samples(xs, gs, seed=rng.derive(seed, 1000 + pos))
         rows.append({"dim": spec.dim, "degree": spec.degree,
                      "max_influence": spec.max_influence(),

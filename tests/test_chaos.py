@@ -10,8 +10,8 @@ from chaoslab import (ChaosElement, ChaosVector, OrderCapError, basis_element,
                       expectation_of_product, linear_combine, make_kernel,
                       malliavin_matrix, mderiv, moment, multiply, ou_generator,
                       project, sample, single_integral, variance)
-from chaoslab import rng
-from chaoslab.chaos import _SAMPLE_BLOCK, _product_weight, gaussian_matrix
+from chaoslab import chaos, rng
+from chaoslab.chaos import _SAMPLE_BLOCK, _SAMPLE_CHUNK, _product_weight, gaussian_matrix
 from chaoslab.experiments import (MultilinearSpec, pair_sum_element,
                                   rademacher_average, sample_multilinear)
 from chaoslab.kernels import ORDER_CAP
@@ -265,6 +265,16 @@ class TestCarreDuChamp:
                 assert out.max_order <= f.max_order + g.max_order - 2
             assert variance(out) < math.inf
 
+    def test_order_cap(self):
+        # <D I_8(f), D I_8(f)> would reach order 14, past ORDER_CAP
+        f = single_integral(make_kernel(8, 2, [((1, 1, 1, 1, 2, 2, 2, 2), 1.0)]))
+        with pytest.raises(OrderCapError, match="order 14"):
+            carre_du_champ(f, f)
+
+    def test_order_cap_boundary(self):
+        q = single_integral(make_kernel(5, 5, [((1, 2, 3, 4, 5), 1.0)]))
+        assert carre_du_champ(q, q).max_order == 8
+
     def test_weight_is_r_times_product_weight(self):
         # the closed form k l (r-1)! C(k-1,r-1) C(l-1,r-1), as exact integers
         for k in range(1, ORDER_CAP + 1):
@@ -429,6 +439,10 @@ class TestSampling:
         assert np.array_equal(a.values, c.values)
         assert a.seed == 9 and a.tag == b.tag
 
+    def test_more_workers_than_rows(self):
+        want = sample(H2, 3, seed=9).values
+        assert _same_bits(sample(H2, 3, seed=9, workers=4).values, want)
+
     def test_vector_sampling(self):
         vec = ChaosVector((basis_element(2, 1), basis_element(2, 2)))
         batch = sample(vec, 2000, seed=4)
@@ -511,8 +525,42 @@ class TestStreamedSampling:
     def test_gaussian_matrix_start_is_a_row_offset(self, start):
         full = gaussian_matrix(self.DIM, 30_000, 23)
         assert _same_bits(full, self._reference_input(self.DIM, 30_000, 23))
-        part = gaussian_matrix(self.DIM, 30_000 - start, 23, start=start, workers=2)
+        part = gaussian_matrix(self.DIM, 30_000 - start, 23, start=start)
         assert _same_bits(part, full[start:])
+
+    def test_blocks_hold_a_piece_whatever_the_workers(self, monkeypatch):
+        # a serial stand-in for the pool, so no worker count starts a thread
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(chaos, "ThreadPoolExecutor", SerialPool)
+        rows, real = [], chaos.gaussian_matrix
+
+        def spy(dim, n_samples, *args, **kwargs):
+            rows.append(n_samples)
+            return real(dim, n_samples, *args, **kwargs)
+
+        monkeypatch.setattr(chaos, "gaussian_matrix", spy)
+        fel = single_integral(make_kernel(2, self.DIM, [((1, 7), 1.0)]))
+        want = sample(fel, 30_000, 24).values
+        assert rows == [30_000] and pools == []
+        rows.clear()
+        assert _same_bits(sample(fel, 30_000, 24, workers=10 ** 6).values, want)
+        assert pools == [10 ** 6]
+        assert len(rows) == -(-30_000 * self.DIM // _SAMPLE_CHUNK)
+        assert min(rows[:-1]) == _SAMPLE_CHUNK // self.DIM
 
     def test_peak_memory_bounded_by_a_block(self):
         fel = pair_sum_element(100)  # dim 200: the whole input would be 80 MB

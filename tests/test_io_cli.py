@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoslab import cli, experiments, io
-from chaoslab import (basis_element, constant_element, make_kernel,
+from chaoslab import (ChaosElement, basis_element, constant_element, make_kernel,
                       pair_sum_element, sample)
 from chaoslab.chaos import SampleBatch
 from chaoslab.experiments import ExperimentReport
@@ -228,6 +228,16 @@ class TestCli:
                          "--seed", "3", "--out", out]) == 0
         assert open(out).readline().strip() == "value"
 
+    @pytest.mark.parametrize("n", [50, 12_000])  # one block, then three at dim 200
+    def test_sample_csv_threads_byte_identical(self, tmp_path, n):
+        chaos_path = str(tmp_path / "pairs.json")
+        io.save_chaos(pair_sum_element(100), chaos_path)
+        outs = [str(tmp_path / f"{t}.csv") for t in (1, 2)]
+        for threads, out in zip((1, 2), outs):
+            assert cli.main(["--threads", str(threads), "sample", "--chaos", chaos_path,
+                             "-n", str(n), "--seed", "3", "--out", out]) == 0
+        assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+
     def test_check_identities(self, capsys):
         assert cli.main(["check", "identities", "--trials", "20", "--seed", "1"]) == 0
         assert "verdict pass" in capsys.readouterr().err
@@ -305,6 +315,20 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg))
         assert cli.main(["verify", "dball", "--config", str(cfg_path)]) == 0
 
+    def test_verify_dball_order_6_exits_2(self, tmp_path, capsys):
+        # the carre du champ of an order-6 element would reach order 10
+        chaos_path = str(tmp_path / "q6.json")
+        io.save_chaos(ChaosElement(2, 0.0, {6: make_kernel(6, 2, [((1, 1, 1, 2, 2, 2), 1.0)])}),
+                      chaos_path)
+        out = tmp_path / "rep.json"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 4, "n_samples": 20000, "chaos": chaos_path,
+                                        "lambdas": [1.0]}))
+        assert cli.main(["verify", "dball", "--config", str(cfg_path),
+                         "--out", str(out)]) == 2
+        assert "order 10 exceeds cap 8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_moo_inline_spec(self, tmp_path):
         cfg = {"seed": 4, "n_samples": 5000,
                "specs": [{"coeffs": [{"subset": [1], "c": 0.7071067811865476},
@@ -319,19 +343,20 @@ class TestCli:
         import chaoslab.chaos as chaos
         real, seen = chaos.gaussian_matrix, []
 
-        def spy(*args, workers=1, **kwargs):
-            seen.append(workers)
-            return real(*args, workers=workers, **kwargs)
+        def spy(dim, n_samples, *args, **kwargs):
+            seen.append(n_samples)
+            return real(dim, n_samples, *args, **kwargs)
 
         monkeypatch.setattr(chaos, "gaussian_matrix", spy)
-        # more than one 2^16-row chunk, so two workers really split the draw
+        # one block at one thread; two threads split the rows into two blocks
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"seed": 4, "n_samples": 70_000, "sizes": [3]}))
         outs = [str(tmp_path / f"{t}.json") for t in (1, 2)]
-        for threads, out in zip((1, 2), outs):
+        for threads, out, rows in zip((1, 2), outs, ([70_000], [35_000, 35_000])):
+            seen.clear()
             assert cli.main(["--threads", str(threads), "verify", "moo",
                              "--config", str(cfg_path), "--out", out]) in (0, 1)
-        assert seen == [1, 2]
+            assert seen == rows
         assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
 
     def test_console_script_smoke(self, chaos_file):
