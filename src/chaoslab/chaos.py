@@ -305,22 +305,25 @@ def moment(fel: ChaosElement, m: int) -> float:
     never build F^2; they build kernels of order at most q (m = 3) or
     2q - 2 (m = 4), and raise OrderCapError when that exceeds ORDER_CAP.
 
-    Every other input takes the product route: F^b is built by repeated
-    products, b = ceil(m/2), and E[F^a F^b] with a = m // 2 is read off
-    through the isometry.  It raises OrderCapError when
-    m * max_order > ORDER_CAP, a stricter check than the largest order it
-    builds, b * max_order.
+    m = 1 is the constant and m = 2 is E[F F] through the isometry, for
+    every element; no product is built.  Every other input takes the
+    product route: F^b is built by repeated products, b = ceil(m/2), and
+    E[F^a F^b] with a = m // 2 is read off through the isometry.  It
+    raises OrderCapError when m * max_order > ORDER_CAP, a stricter check
+    than the largest order it builds, b * max_order.
     """
     if m < 1:
         raise ValueError("moment order must be >= 1")
+    if m == 1:
+        return fel.constant
+    if m == 2:
+        return expectation_of_product(fel, fel)
     if m in (3, 4) and fel.constant == 0.0 and len(fel.kernels) == 1:
         (f,) = fel.kernels.values()
         return _single_chaos_moment(f, m)
     if m * fel.max_order > ORDER_CAP:
         raise OrderCapError(
             f"moment {m} of an order-{fel.max_order} element exceeds cap {ORDER_CAP}")
-    if m == 1:
-        return fel.constant
     a = m // 2
     b = m - a
     powers = {1: fel}

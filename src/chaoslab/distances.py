@@ -20,10 +20,11 @@ another, then stacked under the observed counts and evaluated as one
 array, so each statistic runs once per call (row 0 is the point
 estimate) and the chain DP sweeps all replicates together.
 
-scipy is imported inside the three functions that use it (normal_cdf,
-the FM chain DP and small_ball), so importing chaoslab and running its
-exact computations never load it; that import is about half of a short
-exact command's start-up time and memory.
+scipy is imported inside the two functions that use it (normal_cdf,
+which tv_vs_density calls, and small_ball), so importing chaoslab, its
+exact computations and every other estimator never load it; that
+import is about half of a short exact command's start-up time and
+memory.
 """
 
 from __future__ import annotations
@@ -268,21 +269,69 @@ def _fm_lattice(dx: float, levels: int, cells: int) -> tuple[np.ndarray, int | N
     return -1.0 + step * np.arange(count), m
 
 
+def _dilate(a: np.ndarray, spare: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Running maximum of a over levels (axis 0) within +-width, edges
+    clamped as maximum_filter1d(mode="nearest") clamps them; returns the
+    result and the free buffer (a and spare, in some order).
+
+    The reach grows 0 -> 1 -> 3 -> ... by doubling: step s combines the
+    entries s levels below, at and above each level.  np.maximum returns
+    its second argument on ties, and the arguments go in level order, so
+    among equal maxima (+0.0 and -0.0) the highest level wins, as it does
+    in maximum_filter1d.
+    """
+    width = min(width, a.shape[0] - 1)
+    reach = 0
+    while reach < width:
+        s = min(reach + 1, width - reach)
+        np.maximum(a[:-s], a[s:], out=spare[s:])
+        spare[:s] = a[:s]
+        np.maximum(spare[:-s], a[s:], out=spare[:-s])
+        a, spare = spare, a
+        reach += s
+    return a, spare
+
+
 def _fm_stat(diff: np.ndarray, lv: np.ndarray, window: int | None) -> np.ndarray:
     """Chain-constrained maximization of sum phi_j diff_j by DP over levels,
-    for every row of diff at once (one value per row)."""
-    from scipy.ndimage import maximum_filter1d
+    for every row of diff at once (one value per row).
 
-    best = lv * diff[:, :1]
+    The windowed DP runs levels-major: best is (levels, rows) and diff is
+    transposed once to (cells, rows), so the running maximum over the
+    window (_dilate) works on contiguous row slices.  A cell that is zero
+    in every row, i.e. empty in both histograms (a bootstrap redraw never
+    fills it), is skipped and its window is added to the next dilation:
+    k dilations of half-width w are one of half-width k w.  Empty cells at
+    the end are folded into one last dilation.
+
+    Every value equals the cell-by-cell DP's bit for bit.  The maxima are
+    exact, so only the sign of a zero could differ, and only in a row that
+    is zero throughout (the point estimate of identical inputs; diff = p - q
+    holds no -0.0).  For that row the last dilation, the level order of
+    ties in _dilate and the final reduction over a replicate-major copy
+    keep the cell-by-cell signed zero.  When the window spans the lattice
+    the DP keeps its replicate-major form, because it reduces over the
+    levels of each replicate after every cell.
+    """
+    cols = np.flatnonzero(diff.any(axis=0))
+    cols = cols[cols > 0]
     if window is None or window >= lv.size - 1:
-        for j in range(1, diff.shape[1]):
+        best = lv * diff[:, :1]
+        for j in cols:
             best = lv * diff[:, j:j + 1] + best.max(axis=1, keepdims=True)
-    else:
-        size = 2 * window + 1
-        for j in range(1, diff.shape[1]):
-            best = lv * diff[:, j:j + 1] + maximum_filter1d(best, size=size, axis=1,
-                                                            mode="nearest")
-    return best.max(axis=1)
+        return best.max(axis=1)
+    rows = np.ascontiguousarray(diff.T)
+    col = lv[:, None]
+    best = col * rows[0]
+    spare = np.empty_like(best)
+    prev = 0
+    for j in cols:
+        best, spare = _dilate(best, spare, (j - prev) * window)
+        np.multiply(col, rows[j], out=spare)
+        best += spare
+        prev = j
+    best, _ = _dilate(best, spare, (diff.shape[1] - 1 - prev) * window)
+    return np.ascontiguousarray(best.T).max(axis=1)
 
 
 def fm_two_samples(s1, s2, cells: int = 512, levels: int = 201,
@@ -321,9 +370,12 @@ def wasserstein1(s1, s2, n_boot: int = 200, seed: int = 0) -> DistanceEstimate:
     gen = np.random.default_rng(rng.derive(seed, 0x7D5))
     boots = np.empty(n_boot)
     for i in range(n_boot):
-        ra = np.sort(gen.choice(a, size=n, replace=True))
-        rb = np.sort(gen.choice(b, size=n, replace=True))
-        boots[i] = np.abs(ra - rb).mean()
+        ra = gen.choice(a, size=n, replace=True)
+        rb = gen.choice(b, size=n, replace=True)
+        ra.sort()
+        rb.sort()
+        np.subtract(ra, rb, out=ra)
+        boots[i] = np.abs(ra, out=ra).mean()
     return _finish(point, boots, "w1-sorted", (n, n))
 
 

@@ -442,7 +442,9 @@ def peccati_tudor_run(k_list: Sequence[int],
     C(i,j); the exact mean and variance of det Gamma against
     det(C) prod k_i; estimated marginal TVs and the joint 2d TV.  The
     exact gaps must shrink along the family and the final joint TV must
-    beat the gate.  A target that overflows raises ValueError up front.
+    beat the gate.  A target that overflows, or a vector whose component
+    i has a nonzero constant or a kernel of order other than k_i, raises
+    ValueError before anything is computed or sampled.
     """
     d = len(k_list)
     if d != 2:
@@ -451,10 +453,15 @@ def peccati_tudor_run(k_list: Sequence[int],
     gamma_target = float(np.linalg.det(cov)) * math.prod(k_list)
     if not math.isfinite(gamma_target):
         raise ValueError(f"det Gamma target det(C) prod k_i = {gamma_target} is not finite")
-    rows = []
-    for pos, (label, vec) in enumerate(vectors):
+    for label, vec in vectors:
         if len(vec) != d:
             raise ValueError(f"vector at {label} has {len(vec)} components, expected {d}")
+        for i, (k, comp) in enumerate(zip(k_list, vec.components)):
+            if comp.constant != 0.0 or set(comp.kernels) != {k}:
+                raise ValueError(f"component {i} at {label} is not in chaos {k}: constant "
+                                 f"{comp.constant}, kernel orders {sorted(comp.kernels)}")
+    rows = []
+    for pos, (label, vec) in enumerate(vectors):
         comps = vec.components
         covmat = [[expectation_of_product(comps[i], comps[j]) for j in range(d)]
                   for i in range(d)]

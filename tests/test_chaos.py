@@ -184,6 +184,17 @@ class TestMomentsAndCovariance:
         with pytest.raises(OrderCapError):
             moment(H2, 5)
 
+    @pytest.mark.parametrize("q", [5, 8])
+    def test_moment_two_beyond_half_the_cap(self, q):
+        # E[F^2] comes through the isometry, so no product of order 2q is built
+        f = linear_combine([(1.0, single_integral(make_kernel(q, q, [(tuple(range(1, q + 1)),
+                                                                       1.0)]))),
+                            (0.5, constant_element(q, 1.0))])
+        assert moment(f, 2) == variance(f) + expectation(f) ** 2
+        assert moment(f, 1) == 0.5
+        with pytest.raises(OrderCapError):
+            moment(f, 3)
+
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dim"):
             covariance(E1, basis_element(5, 1))

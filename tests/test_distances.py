@@ -11,7 +11,7 @@ from chaoslab import (DegenerateSampleError, fm_two_samples, small_ball,
                       wasserstein1)
 from chaoslab import rng
 from chaoslab.chaos import SampleBatch
-from chaoslab.distances import _fm_lattice, normal_cdf, normal_pdf
+from chaoslab.distances import _fm_lattice, _fm_stat, normal_cdf, normal_pdf
 
 TV_SHIFT3 = 2.0 * normal_cdf(1.5) - 1.0  # TV of unit normals 3 apart
 
@@ -285,6 +285,17 @@ class TestClopperPearson:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_fm_and_w1_leave_scipy_unloaded(self):
+        code = ("import sys\n"
+                "from chaoslab import fm_two_samples, rng, wasserstein1\n"
+                "x, y = rng.gaussians(1, 0, 2000), rng.gaussians(2, 0, 2000)\n"
+                "fm_two_samples(x, y, n_boot=5)\n"
+                "wasserstein1(x, y, n_boot=5)\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestEstimateContract:
     def test_every_estimator_deterministic_given_seed(self):
@@ -388,6 +399,19 @@ def _loop_fm_stat(diff, lv, window):
     return float(best.max())
 
 
+def _loop_wasserstein1(x1, x2, n_boot, seed):
+    a, b = np.sort(x1), np.sort(x2)
+    gen = np.random.default_rng(rng.derive(seed, 0x7D5))
+    boots = np.empty(n_boot)
+    for i in range(n_boot):
+        ra = np.sort(gen.choice(a, size=a.size, replace=True))
+        rb = np.sort(gen.choice(b, size=b.size, replace=True))
+        boots[i] = np.abs(ra - rb).mean()
+    point = float(np.abs(a - b).mean())
+    lo, hi = np.percentile(boots, [2.5, 97.5]) if boots.size else (point, point)
+    return point, float(min(lo, point)), float(max(hi, point))
+
+
 def _common_histograms(x1, x2, cells):
     edges = np.linspace(min(x1.min(), x2.min()), max(x1.max(), x2.max()), cells + 1)
     return edges, np.histogram(x1, edges)[0], np.histogram(x2, edges)[0]
@@ -453,6 +477,11 @@ def _triple(est):
     return est.value, est.ci_low, est.ci_high
 
 
+def _bits(values):
+    """Values as uint64, so that +0.0 and -0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
 class TestBootstrapMatchesReplicateLoop:
     """Evaluating all replicates as one array draws and computes exactly
     what the per-replicate loop did: equal bits, not approximate ones."""
@@ -462,7 +491,7 @@ class TestBootstrapMatchesReplicateLoop:
         x, y = gauss(201, 5000), gauss(202, 5000, mean=0.4, sd=1.3)
         window, size, ref = _loop_fm(x, y, 512, 201, n_boot, 7)
         assert window is not None and window < size - 1
-        assert _triple(fm_two_samples(x, y, n_boot=n_boot, seed=7)) == ref
+        assert _bits(_triple(fm_two_samples(x, y, n_boot=n_boot, seed=7))) == _bits(ref)
 
     @pytest.mark.parametrize("n_boot", [0, 25])
     def test_fm_window_spans_lattice(self, n_boot):
@@ -473,15 +502,62 @@ class TestBootstrapMatchesReplicateLoop:
         y = 7.6 * rng.uniforms(204, 0, 4000) ** 2
         window, size, ref = _loop_fm(x, y, 4, 11, n_boot, 7)
         assert window is not None and window >= size - 1
-        assert _triple(fm_two_samples(x, y, cells=4, levels=11,
-                                      n_boot=n_boot, seed=7)) == ref
+        assert _bits(_triple(fm_two_samples(x, y, cells=4, levels=11,
+                                            n_boot=n_boot, seed=7))) == _bits(ref)
 
     @pytest.mark.parametrize("n_boot", [0, 25])
     def test_fm_void_chain_constraint(self, n_boot):
         x, y = gauss(205, 4000, sd=3.0), gauss(206, 4000, mean=1.0, sd=3.0)
         window, _, ref = _loop_fm(x, y, 2, 201, n_boot, 7)
         assert window is None
-        assert _triple(fm_two_samples(x, y, cells=2, n_boot=n_boot, seed=7)) == ref
+        assert _bits(_triple(fm_two_samples(x, y, cells=2, n_boot=n_boot,
+                                            seed=7))) == _bits(ref)
+
+    @pytest.mark.parametrize("n_boot", [0, 25])
+    def test_fm_heavy_tails(self, n_boot):
+        # squared Gaussians: a long right tail leaves ~40% of the 512
+        # cells empty in both histograms, most of them in runs
+        x, y = gauss(211, 5000) ** 2, 1.2 * gauss(212, 5000) ** 2
+        window, size, ref = _loop_fm(x, y, 512, 201, n_boot, 7)
+        assert window is not None and window < size - 1
+        assert _bits(_triple(fm_two_samples(x, y, n_boot=n_boot, seed=7))) == _bits(ref)
+
+    @pytest.mark.parametrize("n_boot", [0, 25])
+    def test_fm_lone_minimum(self, n_boot):
+        # one outlier holds the first cell and every cell after it up to
+        # the bulk is empty
+        x, y = gauss(213, 5000), gauss(214, 5000, mean=0.5)
+        x[0] = -9.0
+        _, _, ref = _loop_fm(x, y, 512, 201, n_boot, 7)
+        assert _bits(_triple(fm_two_samples(x, y, n_boot=n_boot, seed=7))) == _bits(ref)
+
+    @pytest.mark.parametrize("n_boot", [0, 25])
+    def test_fm_identical_inputs(self, n_boot):
+        # the observed row is all zeros: its value is a signed zero
+        x = gauss(215, 4000)
+        _, _, ref = _loop_fm(x, x, 512, 201, n_boot, 7)
+        est = fm_two_samples(x, x, n_boot=n_boot, seed=7)
+        assert est.value == 0.0
+        assert _bits(_triple(est)) == _bits(ref)
+
+    @pytest.mark.parametrize("cells, levels, dx", [
+        (2, 17, 0.5),   # all-zero rows end mixed: the final reduction decides the sign
+        (4, 9, 0.3),    # trailing empty cells still move those signs
+        (2, 9, 1.9),    # window spans the lattice
+        (3, 17, 0.34),  # equal maxima: the highest level's signed zero wins
+    ])
+    def test_fm_stat_all_zero_rows(self, cells, levels, dx):
+        lv, window = _fm_lattice(dx, levels, cells)
+        diff = np.zeros((3, cells))
+        diff[1, :2] = 0.25, -0.25
+        assert _bits(_fm_stat(diff, lv, window)) == \
+            _bits([_loop_fm_stat(d, lv, window) for d in diff])
+
+    @pytest.mark.parametrize("n_boot", [0, 25])
+    def test_wasserstein1(self, n_boot):
+        x, y = gauss(216, 6000), gauss(217, 6000, mean=0.2, sd=1.4)
+        assert _bits(_triple(wasserstein1(x, y, n_boot=n_boot, seed=7))) == \
+            _bits(_loop_wasserstein1(x, y, n_boot, 7))
 
     @pytest.mark.parametrize("n_boot", [0, 25])
     def test_tv_two_samples(self, n_boot):

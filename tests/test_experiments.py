@@ -15,7 +15,7 @@ from chaoslab import (MultilinearSpec,
                       peccati_tudor_run, rademacher_average,
                       sample_multilinear, shigekawa_rate, single_integral,
                       variance)
-from chaoslab import ChaosElement, distances, experiments, rng
+from chaoslab import ChaosElement, ChaosVector, distances, experiments, rng
 from chaoslab.chaos import _SAMPLE_BLOCK
 from chaoslab.experiments import (D12_STABILITY_FACTOR, DM_SLOPE_SLACK,
                                   DM_STABILITY_FACTOR, _all_rows_verdict,
@@ -160,6 +160,12 @@ class TestCarberyWright:
         with pytest.raises(ValueError, match="nonconstant"):
             carbery_wright_probe(constant_element(1, 2.0), [1.0], 20_000, seed=1)
 
+    def test_degree_five(self):
+        # E[Q^2] of an order-5 element is exact through the isometry
+        fel = single_integral(make_kernel(5, 5, [((1, 2, 3, 4, 5), 1.0)]))
+        rep = carbery_wright_probe(fel, [1.0], 20_000, seed=5)
+        assert rep.notes[0] == f"degree 5, exact E[Q^2] = {variance(fel):.6f}"
+
     def test_alpha_grid_must_decrease(self):
         with pytest.raises(ValueError, match="decreasing"):
             carbery_wright_probe(basis_element(1, 1), [0.1, 1.0], 20_000, seed=1)
@@ -243,6 +249,36 @@ class TestPeccatiTudor:
     def test_dimension_other_than_two_rejected(self):
         with pytest.raises(ValueError, match="d = 2"):
             peccati_tudor_run([1, 2, 3], [], np.eye(3), 20_000, seed=1)
+
+    @pytest.mark.parametrize("k_list, bad, match", [
+        # (X_1, X_2) lives in chaos 1: with k = (2, 2) it used to report pass
+        pytest.param([2, 2], (basis_element(6, 1), basis_element(6, 2)),
+                     r"component 0 at 3\.0 is not in chaos 2: constant 0\.0, "
+                     r"kernel orders \[1\]", id="first-chaos"),
+        pytest.param([1, 2], (basis_element(6, 1),
+                              linear_combine([(1.0, pair_sum_element(3)),
+                                              (1.0, constant_element(6, 0.5))])),
+                     r"component 1 at 3\.0 is not in chaos 2: constant 0\.5, "
+                     r"kernel orders \[2\]", id="constant"),
+        pytest.param([1, 2], (basis_element(6, 1),
+                              linear_combine([(1.0, pair_sum_element(3)),
+                                              (1.0, basis_element(6, 2))])),
+                     r"component 1 at 3\.0 is not in chaos 2: constant 0\.0, "
+                     r"kernel orders \[1, 2\]", id="mixed-orders"),
+    ])
+    def test_components_outside_their_chaos_refused_up_front(self, monkeypatch, k_list,
+                                                             bad, match):
+        calls = []
+        for name in ("sample", "expectation_of_product", "malliavin_matrix"):
+            monkeypatch.setattr(experiments, name,
+                                lambda *a, name=name, **k: calls.append(name))
+        # a valid first vector, so the check must come before any row is computed
+        good = ChaosVector(tuple(pair_sum_element(3) if k == 2 else basis_element(6, 1)
+                                 for k in k_list))
+        vectors = [(2.0, good), (3.0, ChaosVector(bad))]
+        with pytest.raises(ValueError, match=match):
+            peccati_tudor_run(k_list, vectors, np.eye(2), 20_000, seed=1)
+        assert calls == []
 
 
 class TestMultilinear:
