@@ -30,6 +30,6 @@ print("\npointwise check at x=0.7:",
       evaluate(sq, x), "=", evaluate(h2, x) ** 2)
 
 # Monte Carlo agrees with the engine
-batch = sample(h2, 200_000, seed=42)
-print("\nMC fourth moment:", round(float(np.mean(batch.values ** 4)), 3),
+values = sample(h2, 200_000, seed=42)
+print("\nMC fourth moment:", round(float(np.mean(values ** 4)), 3),
       " vs exact", moment(h2, 4))

@@ -9,13 +9,15 @@ total variation with exponent 1/(2p+1).
 
 import math
 
-from chaoslab import basis_element, dm_rate, make_kernel, pair_sum_element, shigekawa_rate
+from chaoslab import (basis_element, dm_rate, kernel_add, make_kernel, pair_sum_element,
+                      shigekawa_rate, single_integral)
 
 base = make_kernel(2, 2, [((1, 1), 1.0 / math.sqrt(2.0))])
 direction = make_kernel(2, 2, [((1, 2), 0.5)])
-perturbations = [(2.0 ** -j, direction) for j in range(1, 9)]
+members = [(t, single_integral(kernel_add(base, direction.scale(t))))
+           for t in (2.0 ** -j for j in range(1, 9))]
 
-rep = dm_rate(2, base, perturbations, n_samples=100_000, seed=11)
+rep = dm_rate(2, members, single_integral(base), n_samples=100_000, seed=11)
 print("kernel perturbation experiment:", rep.verdict)
 for note in rep.notes:
     print("  ", note)

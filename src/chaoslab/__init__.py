@@ -15,12 +15,11 @@ from .kernels import (BipartiteKernel, SymmetricKernel, contract,
                       perm_count, slice_label, sym_contract, symmetrize,
                       zero_kernel)
 from .chaos import (ORDER_CAP, ChaosElement, ChaosVector, OrderCapError,
-                    SampleBatch, basis_element, carre_du_champ, check_ibp,
-                    constant_element, covariance, det_chaos, evaluate,
-                    evaluate_batch, expectation, expectation_of_product,
-                    linear_combine, malliavin_matrix, mderiv, moment,
-                    multiply, ou_generator, project, sample, single_integral,
-                    variance)
+                    basis_element, carre_du_champ, check_ibp, constant_element,
+                    covariance, det_chaos, evaluate, evaluate_batch, expectation,
+                    expectation_of_product, linear_combine, malliavin_matrix,
+                    mderiv, moment, multiply, ou_generator, project, sample,
+                    single_integral, variance)
 from .distances import (DegenerateSampleError, DistanceEstimate,
                         fm_two_samples, small_ball, tv_multivariate,
                         tv_two_samples, tv_vs_density, wasserstein1)

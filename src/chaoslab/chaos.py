@@ -95,19 +95,6 @@ class ChaosVector:
         return len(self.components)
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """Monte Carlo draws plus the seed and generator tag that produced them."""
-
-    values: np.ndarray
-    seed: int
-    tag: str
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
 def constant_element(dim: int, c: float) -> ChaosElement:
     return ChaosElement(dim, float(c), {})
 
@@ -432,8 +419,10 @@ def gaussian_matrix(dim: int, n_samples: int, seed: int, start: int = 0) -> np.n
 
 
 def sample(target: ChaosElement | ChaosVector, n_samples: int, seed: int,
-           workers: int = 1, draw=None) -> SampleBatch:
-    """Draw n_samples evaluations of target under iid input coordinates.
+           workers: int = 1, draw=None) -> np.ndarray:
+    """Draw n_samples evaluations of target under iid input coordinates:
+    an array of shape (n_samples,) for an element, (n_samples, d) for a
+    vector of d components.
 
     Coordinate c of sample i is counter i * dim + c of draw(seed, first,
     count), an rng generator such as rng.rademacher or rng.discrete bound
@@ -471,10 +460,7 @@ def sample(target: ChaosElement | ChaosVector, n_samples: int, seed: int,
     else:
         for span in spans:
             block(span)
-    law = "gauss-bm" if draw is None else "draw"
-    if vector:
-        return SampleBatch(out, seed, f"{law}:dim={dim}:d={len(target)}")
-    return SampleBatch(out[:, 0], seed, f"{law}:dim={dim}")
+    return out if vector else out[:, 0]
 
 
 def mderiv(fel: ChaosElement, i: int) -> ChaosElement:

@@ -30,7 +30,7 @@ from .experiments import (ExperimentReport, MultilinearSpec,
                           moo_invariance, pair_sum_element, pair_sum_vector,
                           peccati_tudor_run, rademacher_average,
                           shigekawa_rate)
-from .kernels import SymmetricKernel, kernel_add
+from .kernels import kernel_add
 
 VERIFY_EXPERIMENTS = ("fourth-moment", "shigekawa", "dm", "cw", "dball",
                       "pt", "moo", "d12")
@@ -66,14 +66,17 @@ def _chaos_from_config(cfg: dict, key: str) -> ChaosElement:
     return _from_config(cfg, key, io.load_chaos, io.chaos_from_dict)
 
 
-def _perturbation(cfg: dict) -> tuple[SymmetricKernel, SymmetricKernel, list[float]]:
-    """The base and direction kernels and the scales of a perturbation family."""
+def _perturbation(cfg: dict) -> tuple[list[tuple[float, ChaosElement]], ChaosElement]:
+    """A perturbation family from base and direction kernels and scales:
+    the members (t, I(base + t direction)) and the limit I(base)."""
     base, direction = (_from_config(cfg, key, io.load_kernel, io.kernel_from_dict)
                        for key in ("base", "direction"))
     if (direction.order, direction.dim) != (base.order, base.dim):
         raise io.SchemaError(f"config/direction: order {direction.order} and dim "
                              f"{direction.dim} must match base ({base.order}, {base.dim})")
-    return base, direction, io.field(cfg, "scales", [float], "config", nonempty=True)
+    members = [(t, single_integral(kernel_add(base, direction.scale(t))))
+               for t in io.field(cfg, "scales", [float], "config", nonempty=True)]
+    return members, single_integral(base)
 
 
 def _pair_sums(cfg: dict) -> list[tuple[float, ChaosElement]]:
@@ -106,9 +109,8 @@ def _verify_call(name: str, cfg: dict, workers: int):
         return partial(shigekawa_rate, p, members, _limit_from_config(cfg),
                        _cfg_samples(cfg), seed, workers=workers)
     if name == "dm":
-        base, direction, scales = _perturbation(cfg)
-        return partial(dm_rate, io.field(cfg, "k", int, "config"), base,
-                       [(t, direction) for t in scales],
+        members, limit = _perturbation(cfg)
+        return partial(dm_rate, io.field(cfg, "k", int, "config"), members, limit,
                        _cfg_samples(cfg), seed, workers=workers)
     if name == "cw":
         return partial(carbery_wright_probe, _chaos_from_config(cfg, "chaos"),
@@ -130,11 +132,7 @@ def _verify_call(name: str, cfg: dict, workers: int):
     if name == "d12":
         alpha = io.field(cfg, "alpha", float, "config")
         if "base" in cfg:
-            # perturbation family: members I(base + t direction), limit I(base)
-            base, direction, scales = _perturbation(cfg)
-            members = [(t, single_integral(kernel_add(base, direction.scale(t))))
-                       for t in scales]
-            limit = single_integral(base)
+            members, limit = _perturbation(cfg)
         else:
             members, limit = _member_files(cfg), _limit_from_config(cfg)
         return partial(d12_rate_probe, members, limit, alpha,
@@ -248,9 +246,9 @@ def main(argv=None) -> int:
 
         if args.command == "sample":
             fel = io.load_chaos(args.chaos)
-            batch = sample(fel, args.count, args.seed, workers=args.threads)
-            io.save_samples_csv(batch, args.out)
-            print(f"wrote {batch.n} samples to {args.out}", file=sys.stderr)
+            values = sample(fel, args.count, args.seed, workers=args.threads)
+            io.save_samples_csv(values, args.out)
+            print(f"wrote {len(values)} samples to {args.out}", file=sys.stderr)
             return 0
 
         if args.command == "check":

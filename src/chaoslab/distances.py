@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .chaos import SampleBatch
 
 KDE_GRID_POINTS = 2048   # tv_vs_density grid
 TV_MIN_BINS = 20         # tv_two_samples: max(TV_MIN_BINS, floor(min(N)^(1/3))) bins
@@ -64,11 +63,11 @@ class DistanceEstimate:
                 "ci": [self.ci_low, self.ci_high], "n": list(self.n_samples)}
 
 
-def _samples(batch, minimum: int = 1, shape: tuple[int, ...] = ()) -> np.ndarray:
-    """The values of a SampleBatch or array: at least minimum rows of the
-    given shape (() for scalars, (d,) in dimension d), all finite; the
-    first value that is not is named by its sample (/coordinate) index."""
-    x = np.asarray(batch.values if isinstance(batch, SampleBatch) else batch, dtype=float)
+def _samples(values, minimum: int = 1, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """values as a float array: at least minimum rows of the given shape
+    (() for scalars, (d,) in dimension d), all finite; the first value
+    that is not is named by its sample (/coordinate) index."""
+    x = np.asarray(values, dtype=float)
     if x.ndim != len(shape) + 1 or x.shape[1:] != shape:
         what = f"samples in d = {shape[0]}" if shape else "scalar samples"
         raise ValueError(f"expected {what}, got shape {x.shape}")

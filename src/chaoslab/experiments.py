@@ -23,15 +23,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import rng
-from .chaos import (ChaosElement, ChaosVector, OrderCapError, SampleBatch,
-                    basis_element, carre_du_champ, check_ibp,
-                    constant_element, covariance, det_chaos, evaluate_batch,
-                    expectation, expectation_of_product, linear_combine,
-                    malliavin_matrix, mderiv, moment, multiply, project,
-                    sample, single_integral, variance)
+from .chaos import (ChaosElement, ChaosVector, OrderCapError, basis_element,
+                    carre_du_champ, check_ibp, constant_element, covariance,
+                    det_chaos, evaluate_batch, expectation,
+                    expectation_of_product, linear_combine, malliavin_matrix,
+                    mderiv, moment, multiply, project, sample, single_integral,
+                    variance)
 from .distances import (_covariance_2x2, fm_two_samples, small_ball,
                         tv_multivariate, tv_two_samples, tv_vs_density)
-from .kernels import SymmetricKernel, kernel_add, make_kernel
+from .kernels import SymmetricKernel, make_kernel
 
 # Fixed gates: reports do not store them, so verdicts follow from rows alone.
 IDENTITY_GATE = 1e-8          # identity_suite: max roundoff deviation
@@ -109,6 +109,8 @@ class MultilinearSpec:
                 raise ValueError(f"subset {s} must be sorted distinct labels")
             if s and min(s) < 1:
                 raise ValueError(f"labels must be >= 1 in {s}")
+            if not math.isfinite(float(c)):
+                raise ValueError(f"coefficient of {s} must be finite, got {c}")
             if float(c) != 0.0:
                 clean[s] = float(c)
         object.__setattr__(self, "coeffs", clean)
@@ -118,8 +120,8 @@ class MultilinearSpec:
         if self.law == "discrete":
             v = np.asarray(self.law_values, dtype=float)
             p = np.asarray(self.law_probs, dtype=float)
-            if v.size == 0 or v.size != p.size:
-                raise ValueError("discrete law needs matching values and probs")
+            if v.size == 0 or v.size != p.size or not np.isfinite([*v, *p]).all():
+                raise ValueError("discrete law needs matching, finite values and probs")
             if abs(p.sum() - 1.0) > 1e-9 or p.min() < 0:
                 raise ValueError("discrete law probs must be a distribution")
             if abs(float(v @ p)) > 1e-9 or abs(float(v * v @ p) - 1.0) > 1e-9:
@@ -182,8 +184,9 @@ def multilinear_to_chaos(spec: MultilinearSpec) -> ChaosElement:
 
 
 def sample_multilinear(spec: MultilinearSpec, n_samples: int, seed: int,
-                       workers: int = 1) -> SampleBatch:
-    """Draw n_samples evaluations of spec under iid inputs from its law.
+                       workers: int = 1) -> np.ndarray:
+    """Draw n_samples evaluations of spec under iid inputs from its law,
+    as an array of shape (n_samples,).
 
     This is chaos.sample of multilinear_to_chaos(spec) with the law's
     generator as draw: coordinate c of sample i is draw (seed, i * dim + c),
@@ -201,12 +204,33 @@ def sample_multilinear(spec: MultilinearSpec, n_samples: int, seed: int,
     else:
         def draw(s, first, count):
             return rng.discrete(s, first, count, spec.law_values, spec.law_probs)
-    batch = sample(multilinear_to_chaos(spec), n_samples, seed, workers=workers, draw=draw)
-    return SampleBatch(batch.values, seed, f"multilinear-{spec.law}:dim={spec.dim}")
+    return sample(multilinear_to_chaos(spec), n_samples, seed, workers=workers, draw=draw)
 
 
 # ---------------------------------------------------------------------------
 # experiments
+
+def _nonempty(items: Sequence, name: str) -> None:
+    if len(items) == 0:   # not `not items`: alphas and lambdas may be arrays
+        raise ValueError(f"{name} must not be empty")
+
+
+def _in_chaos(k: int, fel: ChaosElement, what: str) -> None:
+    if fel.constant != 0.0 or set(fel.kernels) != {k}:
+        raise ValueError(f"{what} is not in chaos {k}: constant {fel.constant}, "
+                         f"kernel orders {sorted(fel.kernels)}")
+
+
+def _crn_tvs(members: Sequence[tuple[float, ChaosElement]], f_inf: ChaosElement,
+             n_samples: int, seed: int, workers: int) -> list:
+    """Two-sample TV of each member against f_inf on common random numbers:
+    all are sampled at derive(seed, 0), so a member equal to the limit gives
+    TV exactly zero; member pos bootstraps at derive(seed, 1000 + pos)."""
+    ref = sample(f_inf, n_samples, rng.derive(seed, 0), workers=workers)
+    return [tv_two_samples(sample(fel, n_samples, rng.derive(seed, 0), workers=workers),
+                           ref, seed=rng.derive(seed, 1000 + pos))
+            for pos, (_, fel) in enumerate(members)]
+
 
 def fourth_moment_certificate(k: int, members: Sequence[tuple[float, ChaosElement]],
                               n_samples: int, seed: int,
@@ -221,14 +245,13 @@ def fourth_moment_certificate(k: int, members: Sequence[tuple[float, ChaosElemen
     member with a nonzero constant or a kernel of order other than k
     raises ValueError before anything is sampled.
     """
+    _nonempty(members, "members")
     if k < 2:
         raise ValueError("fourth-moment certificate needs chaos order k >= 2")
     for label, fel in members:
         if variance(fel) <= 0.0:
             raise ValueError(f"member {label} has zero variance")
-        if fel.constant != 0.0 or set(fel.kernels) != {k}:
-            raise ValueError(f"member {label} is not in chaos {k}: constant "
-                             f"{fel.constant}, kernel orders {sorted(fel.kernels)}")
+        _in_chaos(k, fel, f"member {label}")
     const = math.sqrt((4.0 * k - 4.0) / (3.0 * k))
     rows = []
     for pos, (label, fel) in enumerate(members):
@@ -236,8 +259,8 @@ def fourth_moment_certificate(k: int, members: Sequence[tuple[float, ChaosElemen
         norm = linear_combine([(1.0 / math.sqrt(var), fel)])
         m4 = moment(norm, 4)
         bound = const * math.sqrt(abs(m4 - 3.0))
-        batch = sample(norm, n_samples, rng.derive(seed, pos), workers=workers)
-        tv = tv_vs_density(batch, 0.0, 1.0, seed=rng.derive(seed, 1000 + pos))
+        values = sample(norm, n_samples, rng.derive(seed, pos), workers=workers)
+        tv = tv_vs_density(values, 0.0, 1.0, seed=rng.derive(seed, 1000 + pos))
         vacuous = bound >= 1.0
         passed = vacuous or tv.value <= bound + tv.ci_width() + 0.02
         rows.append({"index": label, "variance": var, "fourth_moment": m4,
@@ -267,6 +290,7 @@ def shigekawa_rate(p: int, members: Sequence[tuple[float, ChaosElement]],
     once FM does.  Exact fourth moments are reported so the uniform
     moment bound can be seen directly.
     """
+    _nonempty(members, "members")
     if variance(f_inf) <= 0.0:
         raise ValueError("limit element must have positive variance")
     for label, fel in members:
@@ -276,9 +300,9 @@ def shigekawa_rate(p: int, members: Sequence[tuple[float, ChaosElement]],
     ref = sample(f_inf, n_samples, rng.derive(seed, 0), workers=workers)
     rows = []
     for pos, (label, fel) in enumerate(members):
-        batch = sample(fel, n_samples, rng.derive(seed, pos + 1), workers=workers)
-        tv = tv_two_samples(batch, ref, seed=rng.derive(seed, 1000 + pos))
-        fm = fm_two_samples(batch, ref, seed=rng.derive(seed, 2000 + pos))
+        values = sample(fel, n_samples, rng.derive(seed, pos + 1), workers=workers)
+        tv = tv_two_samples(values, ref, seed=rng.derive(seed, 1000 + pos))
+        fm = fm_two_samples(values, ref, seed=rng.derive(seed, 2000 + pos))
         ratio = tv.value / fm.value ** expo if fm.value > 0.0 else 0.0
         try:
             m4 = moment(fel, 4)
@@ -310,37 +334,29 @@ def _shigekawa_verdict(rows: Sequence[dict], tv_threshold: float,
     return "pass"
 
 
-def dm_rate(k: int, f_inf: SymmetricKernel,
-            perturbations: Sequence[tuple[float, SymmetricKernel]],
-            n_samples: int, seed: int, workers: int = 1) -> ExperimentReport:
+def dm_rate(k: int, members: Sequence[tuple[float, ChaosElement]],
+            f_inf: ChaosElement, n_samples: int, seed: int,
+            workers: int = 1) -> ExperimentReport:
     """Kernel-continuity rate: TV distance against kernel distance.
 
-    Members are I_k(f_inf + t g); the exact kernel distance is t ||g||.
-    Both batches per member share the Gaussian draws (common random
-    numbers), so t = 0 gives distance exactly zero and the histogram
-    noise floor mostly cancels.  The gate checks the log-log slope
+    Members are (t, I_k(f_t)) and the limit is I_k(f); the exact kernel
+    distance is ||f_t - f|| (t ||g|| for f_t = f + t g), and TV uses
+    common random numbers (_crn_tvs).  The gate checks the log-log slope
     against the exponent 1/(2k) minus slack, and that the fitted
-    constants at the two smallest distances agree within a factor.
+    constants at the two smallest distances agree within a factor.  A
+    limit or member outside chaos k raises ValueError before any work.
     """
-    if f_inf.is_zero():
-        raise ValueError("limit kernel must be nonzero")
-    if f_inf.order != k:
-        raise ValueError(f"limit kernel has order {f_inf.order}, declared k={k}")
-    base = single_integral(f_inf)
+    _nonempty(members, "members")
+    _in_chaos(k, f_inf, "limit")
+    for t, fel in members:
+        _in_chaos(k, fel, f"member {t}")
     expo = 1.0 / (2.0 * k)
-    ref = sample(base, n_samples, rng.derive(seed, 0), workers=workers)
-    rows = []
-    for pos, (t, g) in enumerate(perturbations):
-        ker = kernel_add(f_inf, g.scale(float(t)))
-        if ker.is_zero():
-            raise ValueError(f"perturbed kernel at t={t} is zero")
-        dist = kernel_add(ker, f_inf.scale(-1.0)).norm()
-        batch = sample(single_integral(ker), n_samples, rng.derive(seed, 0),
-                       workers=workers)
-        tv = tv_two_samples(batch, ref, seed=rng.derive(seed, 1000 + pos))
-        fitted = tv.value / dist ** expo if dist > 0.0 else 0.0
-        rows.append({"t": float(t), "kernel_dist": dist, "tv": tv.to_dict(),
-                     "fitted_c": fitted})
+    gaps = [linear_combine([(1.0, fel), (-1.0, f_inf)]).kernels.get(k) for _, fel in members]
+    dists = [gap.norm() if gap is not None else 0.0 for gap in gaps]
+    tvs = _crn_tvs(members, f_inf, n_samples, seed, workers)
+    rows = [{"t": float(t), "kernel_dist": dist, "tv": tv.to_dict(),
+             "fitted_c": tv.value / dist ** expo if dist > 0.0 else 0.0}
+            for (t, _), dist, tv in zip(members, dists, tvs)]
     verdict, slope = _dm_verdict(rows, expo, DM_SLOPE_SLACK, DM_STABILITY_FACTOR)
     return ExperimentReport("davydov-martynova", seed, rows, verdict,
                             notes=[f"exponent 1/(2k) = {expo:.6f} at k={k}",
@@ -373,6 +389,7 @@ def carbery_wright_probe(q_el: ChaosElement, alphas: Sequence[float],
     E[Q^2]^(1/2d) P(|Q| <= alpha) / (d alpha^(1/d)), which the
     anti-concentration inequality bounds by an absolute constant.
     """
+    _nonempty(alphas, "alphas")
     if q_el.is_constant():
         raise ValueError("polynomial must be nonconstant")
     alphas = [float(a) for a in alphas]
@@ -380,10 +397,10 @@ def carbery_wright_probe(q_el: ChaosElement, alphas: Sequence[float],
         raise ValueError("alphas must be positive and strictly decreasing")
     d = q_el.max_order
     m2 = moment(q_el, 2)
-    batch = sample(q_el, n_samples, rng.derive(seed, 0), workers=workers)
+    values = sample(q_el, n_samples, rng.derive(seed, 0), workers=workers)
     rows = []
     for a in alphas:
-        sb = small_ball(batch, a)
+        sb = small_ball(values, a)
         ratio = m2 ** (1.0 / (2.0 * d)) * sb.value / (d * a ** (1.0 / d))
         rows.append({"alpha": a, "prob": sb.to_dict(), "ratio": ratio})
     worst = max(r["ratio"] for r in rows)
@@ -403,6 +420,7 @@ def df_small_ball_probe(fel: ChaosElement, lambdas: Sequence[float],
     First-chaos elements have constant gradient norm; their rows carry
     raw probabilities only.
     """
+    _nonempty(lambdas, "lambdas")
     var = variance(fel)
     if var <= 0.0:
         raise ValueError("element must have positive variance")
@@ -411,10 +429,10 @@ def df_small_ball_probe(fel: ChaosElement, lambdas: Sequence[float],
         raise ValueError("lambdas must be positive")
     p = fel.max_order
     grad_sq = carre_du_champ(fel, fel)
-    batch = sample(grad_sq, n_samples, rng.derive(seed, 0), workers=workers)
+    values = sample(grad_sq, n_samples, rng.derive(seed, 0), workers=workers)
     rows = []
     for lam in lambdas:
-        sb = small_ball(batch, lam * lam)  # values are >= 0, so this is P(G <= lam^2)
+        sb = small_ball(values, lam * lam)  # values are >= 0, so this is P(G <= lam^2)
         if p >= 2:
             scale = lam ** (1.0 / (p - 1.0)) / var ** (1.0 / (2.0 * p - 2.0))
             ratio = sb.value / scale
@@ -449,6 +467,7 @@ def peccati_tudor_run(k_list: Sequence[int],
     d = len(k_list)
     if d != 2:
         raise ValueError("vector experiment supports exactly d = 2")
+    _nonempty(vectors, "vectors")
     cov = _covariance_2x2(cov)
     gamma_target = float(np.linalg.det(cov)) * math.prod(k_list)
     if not math.isfinite(gamma_target):
@@ -457,9 +476,7 @@ def peccati_tudor_run(k_list: Sequence[int],
         if len(vec) != d:
             raise ValueError(f"vector at {label} has {len(vec)} components, expected {d}")
         for i, (k, comp) in enumerate(zip(k_list, vec.components)):
-            if comp.constant != 0.0 or set(comp.kernels) != {k}:
-                raise ValueError(f"component {i} at {label} is not in chaos {k}: constant "
-                                 f"{comp.constant}, kernel orders {sorted(comp.kernels)}")
+            _in_chaos(k, comp, f"component {i} at {label}")
     rows = []
     for pos, (label, vec) in enumerate(vectors):
         comps = vec.components
@@ -479,12 +496,11 @@ def peccati_tudor_run(k_list: Sequence[int],
         det_el = det_chaos(gam)
         det_mean = expectation(det_el)
         det_var = variance(det_el)
-        batch = sample(vec, n_samples, rng.derive(seed, pos), workers=workers)
-        marg = [tv_vs_density(batch.values[:, i], 0.0, float(cov[i, i]),
+        values = sample(vec, n_samples, rng.derive(seed, pos), workers=workers)
+        marg = [tv_vs_density(values[:, i], 0.0, float(cov[i, i]),
                               seed=rng.derive(seed, 1000 + 10 * pos + i))
                 for i in range(d)]
-        joint = tv_multivariate(batch.values, cov,
-                                seed=rng.derive(seed, 2000 + pos))
+        joint = tv_multivariate(values, cov, seed=rng.derive(seed, 2000 + pos))
         rows.append({"index": label, "cov_gap": cov_gap, "cross_cov_gap": cross_gap,
                      "det_mean": det_mean, "det_var": det_var,
                      "gram_gap": gram_gap,
@@ -522,6 +538,7 @@ def moo_invariance(specs: Sequence[MultilinearSpec], n_samples: int, seed: int,
     nonincreasing as the maximal influence shrinks, and beat the gate at
     the lowest-influence member.
     """
+    _nonempty(specs, "specs")
     rows = []
     for pos, spec in enumerate(specs):
         xs = sample_multilinear(spec, n_samples, rng.derive(seed, 2 * pos), workers=workers)
@@ -553,28 +570,26 @@ def d12_rate_probe(members: Sequence[tuple[float, ChaosElement]],
     the negative moment E||DF_inf||^(-alpha) is estimated by sampling the
     carre du champ, with values below the truncation floor dropped and
     the dropped mass reported (the estimate is flagged unreliable above
-    1e-4).  Distances use common random numbers so identical members
-    give exactly zero.
+    1e-4).  The TVs use common random numbers (_crn_tvs), so identical
+    members give exactly zero.  Every exact quantity, and so every cap
+    check, comes before the first sample is drawn.
     """
+    _nonempty(members, "members")
     if not (0.0 < alpha <= 2.0):
         raise ValueError("alpha must lie in (0, 2]")
     expo = alpha / (alpha + 2.0)
     grad_sq = carre_du_champ(f_inf, f_inf)
-    gvals = sample(grad_sq, n_samples, rng.derive(seed, 1), workers=workers).values
+    diffs = [linear_combine([(1.0, fel), (-1.0, f_inf)]) for _, fel in members]
+    dnorms = [math.sqrt(max(moment(d, 2) + expectation(carre_du_champ(d, d)), 0.0))
+              for d in diffs]
+    gvals = sample(grad_sq, n_samples, rng.derive(seed, 1), workers=workers)
     kept = gvals[gvals >= D12_TRUNC]
     trunc_mass = 1.0 - kept.size / gvals.size
     neg_moment = float(np.mean(kept ** (-alpha / 2.0))) if kept.size else float("inf")
-    ref = sample(f_inf, n_samples, rng.derive(seed, 0), workers=workers)
-    rows = []
-    for pos, (label, fel) in enumerate(members):
-        diff = linear_combine([(1.0, fel), (-1.0, f_inf)])
-        norm_sq = moment(diff, 2) + expectation(carre_du_champ(diff, diff))
-        batch = sample(fel, n_samples, rng.derive(seed, 0), workers=workers)
-        tv = tv_two_samples(batch, ref, seed=rng.derive(seed, 1000 + pos))
-        dnorm = math.sqrt(max(norm_sq, 0.0))
-        fitted = tv.value / dnorm ** expo if dnorm > 0.0 else 0.0
-        rows.append({"index": label, "d12_norm": dnorm, "tv": tv.to_dict(),
-                     "fitted_c": fitted})
+    tvs = _crn_tvs(members, f_inf, n_samples, seed, workers)
+    rows = [{"index": label, "d12_norm": dnorm, "tv": tv.to_dict(),
+             "fitted_c": tv.value / dnorm ** expo if dnorm > 0.0 else 0.0}
+            for (label, _), dnorm, tv in zip(members, dnorms, tvs)]
     verdict = _d12_verdict(rows, D12_STABILITY_FACTOR)
     notes = [f"exponent alpha/(alpha+2) = {expo:.6f} at alpha={alpha}",
              f"E||DF_inf||^-alpha estimate {neg_moment:.6f}, truncated mass {trunc_mass:.2e}"]

@@ -27,7 +27,7 @@ import tempfile
 
 import numpy as np
 
-from .chaos import ChaosElement, SampleBatch
+from .chaos import ChaosElement
 from .experiments import ExperimentReport
 from .kernels import Index, SymmetricKernel, make_kernel
 
@@ -276,10 +276,10 @@ def save_rows_csv(rep: ExperimentReport, path: str) -> None:
     write_atomic(path, write, newline="")
 
 
-def save_samples_csv(batch: SampleBatch, path: str) -> None:
+def save_samples_csv(values: np.ndarray, path: str) -> None:
     """One row per sample; header 'value' for scalars, 'x1,...' for vectors.
-    A batch holding a NaN or an infinity is refused before any file exists."""
-    vals = np.asarray(batch.values)
+    Samples holding a NaN or an infinity are refused before any file exists."""
+    vals = np.asarray(values)
     bad = np.argwhere(~np.isfinite(vals))
     if bad.size:
         raise SchemaError(f"samples/{'/'.join(map(str, bad[0]))}: expected a finite number")

@@ -425,12 +425,11 @@ class TestDetChaos:
 
 class TestSampling:
     def test_constant_batch(self):
-        batch = sample(constant_element(2, 5.0), 100, seed=1)
-        assert np.all(batch.values == 5.0)
+        assert np.all(sample(constant_element(2, 5.0), 100, seed=1) == 5.0)
 
     def test_law_of_large_numbers(self):
         batch = sample(basis_element(2, 1), 10 ** 5, seed=2)
-        assert abs(batch.values.mean()) <= 4.0 / math.sqrt(10 ** 5)
+        assert abs(batch.mean()) <= 4.0 / math.sqrt(10 ** 5)
 
     def test_sample_variance_matches_exact(self):
         cross = single_integral(make_kernel(2, 2, [((1, 2), 1.0)]))
@@ -439,31 +438,29 @@ class TestSampling:
         # exact Var = 4, exact Var of the squared values from the engine
         m2, m4 = moment(cross, 2), moment(cross, 4)
         se = math.sqrt((m4 - m2 ** 2) / n)
-        assert abs(batch.values.var() - 4.0) <= 4.0 * se
+        assert abs(batch.var() - 4.0) <= 4.0 * se
 
     def test_determinism_and_partition_invariance(self):
         fel = H2
         a = sample(fel, 5000, seed=9)
         b = sample(fel, 5000, seed=9)
         c = sample(fel, 5000, seed=9, workers=3)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.values, c.values)
-        assert a.seed == 9 and a.tag == b.tag
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, c)
 
     def test_more_workers_than_rows(self):
-        want = sample(H2, 3, seed=9).values
-        assert _same_bits(sample(H2, 3, seed=9, workers=4).values, want)
+        want = sample(H2, 3, seed=9)
+        assert _same_bits(sample(H2, 3, seed=9, workers=4), want)
 
     def test_vector_sampling(self):
         vec = ChaosVector((basis_element(2, 1), basis_element(2, 2)))
-        batch = sample(vec, 2000, seed=4)
-        assert batch.values.shape == (2000, 2)
+        assert sample(vec, 2000, seed=4).shape == (2000, 2)
 
     def test_prefix_consistency(self):
         # extending a batch keeps the existing draws
         a = sample(H2, 1000, seed=11)
         b = sample(H2, 3000, seed=11)
-        assert np.array_equal(a.values, b.values[:1000])
+        assert np.array_equal(a, b[:1000])
 
     def test_moments_against_exact_engine(self, gen):
         # MC moments 1..4 within four standard errors of the engine; the SE
@@ -475,7 +472,7 @@ class TestSampling:
             + [random_element(gen, 3, 4, terms=2)]
         for fel in cases:
             p = max(fel.max_order, 1)
-            vals = sample(fel, n, seed=int(gen.integers(1 << 30))).values
+            vals = sample(fel, n, seed=int(gen.integers(1 << 30)))
             for m in range(1, 5):
                 if m * p > 8:
                     continue
@@ -508,14 +505,14 @@ class TestStreamedSampling:
         x = self._reference_input(self.DIM, self.N, 21)
         want = evaluate_batch(fel, x)
         for workers in (1, 2):
-            assert _same_bits(sample(fel, self.N, 21, workers=workers).values, want)
+            assert _same_bits(sample(fel, self.N, 21, workers=workers), want)
 
     def test_vector_bit_for_bit(self, gen):
         vec = ChaosVector(tuple(random_element(gen, self.DIM, 2) for _ in range(3)))
         x = self._reference_input(self.DIM, self.N, 22)
         want = np.column_stack([evaluate_batch(c, x) for c in vec.components])
         for workers in (1, 2):
-            assert _same_bits(sample(vec, self.N, 22, workers=workers).values, want)
+            assert _same_bits(sample(vec, self.N, 22, workers=workers), want)
 
     def test_draw_bit_for_bit(self):
         # repeated labels take the Hermite path of evaluate_batch
@@ -528,9 +525,9 @@ class TestStreamedSampling:
         want = np.column_stack([evaluate_batch(c, x) for c in vec.components])
         for workers in (1, 2):
             got = sample(fel, self.N, 25, workers=workers, draw=rng.rademacher)
-            assert _same_bits(got.values, want[:, 0])
+            assert _same_bits(got, want[:, 0])
             got = sample(vec, self.N, 25, workers=workers, draw=rng.rademacher)
-            assert _same_bits(got.values, want)
+            assert _same_bits(got, want)
 
     @pytest.mark.parametrize("start", [0, 1, 9363, 20_000])
     def test_gaussian_matrix_start_is_a_row_offset(self, start):
@@ -565,10 +562,10 @@ class TestStreamedSampling:
 
         monkeypatch.setattr(chaos, "gaussian_matrix", spy)
         fel = single_integral(make_kernel(2, self.DIM, [((1, 7), 1.0)]))
-        want = sample(fel, 30_000, 24).values
+        want = sample(fel, 30_000, 24)
         assert rows == [30_000] and pools == []
         rows.clear()
-        assert _same_bits(sample(fel, 30_000, 24, workers=10 ** 6).values, want)
+        assert _same_bits(sample(fel, 30_000, 24, workers=10 ** 6), want)
         assert pools == [10 ** 6]
         assert len(rows) == -(-30_000 * self.DIM // _SAMPLE_CHUNK)
         assert min(rows[:-1]) == _SAMPLE_CHUNK // self.DIM

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
-QUICK = [p for p in DEMOS if p.name[:2] in ("01", "02", "03")]
+QUICK = [p for p in DEMOS if p.name[:2] in ("01", "02", "03", "06")]
 
 
 def _chaoslab_imports(path):

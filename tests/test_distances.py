@@ -10,7 +10,6 @@ from chaoslab import (DegenerateSampleError, fm_two_samples, small_ball,
                       tv_multivariate, tv_two_samples, tv_vs_density,
                       wasserstein1)
 from chaoslab import rng
-from chaoslab.chaos import SampleBatch
 from chaoslab.distances import _fm_lattice, _fm_stat, normal_cdf, normal_pdf
 
 TV_SHIFT3 = 2.0 * normal_cdf(1.5) - 1.0  # TV of unit normals 3 apart
@@ -353,8 +352,7 @@ NON_FINITE_CASES = [
 
 class TestNonFiniteSamples:
     """Every estimator refuses a sample set holding a NaN or an infinity,
-    naming the first such sample, whether it comes as an array or a
-    SampleBatch and whichever set it is in."""
+    naming the first such sample, whichever set it is in."""
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "-inf"])
@@ -367,7 +365,6 @@ class TestNonFiniteSamples:
         pos = (5,) + (1,) * len(shape)
         sets[which][pos] = bad
         sets[which][(7,) + pos[1:]] = math.nan     # a later one is not named
-        sets[0] = SampleBatch(sets[0], 1, "test")
         with pytest.raises(ValueError,
                            match=f"^sample {'/'.join(map(str, pos))} is not finite"):
             call(sets)

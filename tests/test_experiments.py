@@ -8,13 +8,13 @@ from chaoslab import (MultilinearSpec,
                       basis_element, carbery_wright_probe, carre_du_champ,
                       constant_element, d12_rate_probe, df_small_ball_probe,
                       dm_rate, evaluate_batch, expectation, evaluate,
-                      fourth_moment_certificate, identity_suite,
+                      fourth_moment_certificate, identity_suite, kernel_add,
                       linear_combine, make_kernel, moment, moo_invariance,
                       multilinear_eval, multilinear_to_chaos,
                       pair_sum_element, pair_sum_kernel, pair_sum_vector,
                       peccati_tudor_run, rademacher_average,
                       sample_multilinear, shigekawa_rate, single_integral,
-                      variance)
+                      variance, zero_kernel)
 from chaoslab import ChaosElement, ChaosVector, distances, experiments, rng
 from chaoslab.chaos import _SAMPLE_BLOCK
 from chaoslab.experiments import (D12_STABILITY_FACTOR, DM_SLOPE_SLACK,
@@ -115,32 +115,71 @@ class TestShigekawa:
             shigekawa_rate(2, [(1.0, cubic)], basis_element(1, 1), 2000, seed=1)
 
 
+def perturbation(base, direction, scales):
+    """The members (t, I(base + t direction)) and the limit I(base)."""
+    return ([(t, single_integral(kernel_add(base, direction.scale(t)))) for t in scales],
+            single_integral(base))
+
+
 class TestDmRate:
     def setup_method(self):
         self.base = make_kernel(2, 2, [((1, 1), 1.0 / math.sqrt(2.0))])
         self.direction = make_kernel(2, 2, [((1, 2), 0.5)])
 
     def test_zero_scale_gives_exactly_zero_distance(self):
-        rep = dm_rate(2, self.base, [(0.0, self.direction)], 5000, seed=5)
+        rep = dm_rate(2, *perturbation(self.base, self.direction, [0.0]), 5000, seed=5)
         assert rep.rows[0]["kernel_dist"] == 0.0
         assert rep.rows[0]["tv"]["value"] == 0.0
 
     def test_rate_experiment_passes(self):
-        perts = [(2.0 ** -j, self.direction) for j in range(1, 7)]
-        rep = dm_rate(2, self.base, perts, 50_000, seed=5)
+        scales = [2.0 ** -j for j in range(1, 7)]
+        rep = dm_rate(2, *perturbation(self.base, self.direction, scales), 50_000, seed=5)
         assert rep.verdict == "pass"
         assert any("1/(2k) = 0.25" in note for note in rep.notes)
 
-    def test_zero_base_rejected(self):
-        from chaoslab import zero_kernel
-        with pytest.raises(ValueError, match="nonzero"):
-            dm_rate(2, zero_kernel(2, 2), [(0.5, self.direction)], 2000, seed=1)
+    def test_kernel_distance_is_t_times_direction_norm(self):
+        scales = [0.5, 0.25]
+        members, limit = perturbation(self.base, self.direction, scales)
+        rep = dm_rate(2, members, limit, 2000, seed=1)
+        for row, t in zip(rep.rows, scales):
+            assert row["t"] == t
+            assert row["kernel_dist"] == pytest.approx(t * self.direction.norm(), rel=1e-15)
 
-    def test_cancelling_perturbation_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
-            dm_rate(2, self.base,
-                    [(-1.0 / math.sqrt(2.0), make_kernel(2, 2, [((1, 1), 1.0)]))],
-                    2000, seed=1)
+    # the limit and every member must lie in chaos k; each refusal comes first
+    def test_zero_base_rejected(self, monkeypatch):
+        monkeypatch.setattr(experiments, "sample", _no_sampling)
+        members, limit = perturbation(zero_kernel(2, 2), self.direction, [0.5])
+        with pytest.raises(ValueError, match=r"^limit is not in chaos 2: constant 0\.0, "
+                                             r"kernel orders \[\]$"):
+            dm_rate(2, members, limit, 2000, seed=1)
+
+    def test_cancelling_perturbation_rejected(self, monkeypatch):
+        monkeypatch.setattr(experiments, "sample", _no_sampling)
+        # a valid first member, so the check must cover the whole family
+        members, limit = perturbation(self.base, make_kernel(2, 2, [((1, 1), 1.0)]),
+                                      [0.25, -1.0 / math.sqrt(2.0)])
+        with pytest.raises(ValueError, match=r"^member -0\.7071\d* is not in chaos 2: "
+                                             r"constant 0\.0, kernel orders \[\]$"):
+            dm_rate(2, members, limit, 2000, seed=1)
+
+    BASE = single_integral(make_kernel(2, 2, [((1, 1), 1.0 / math.sqrt(2.0))]))
+
+    @pytest.mark.parametrize("limit, member, match", [
+        pytest.param(basis_element(2, 1), BASE,
+                     r"^limit is not in chaos 2: constant 0\.0, kernel orders \[1\]$",
+                     id="limit-order"),
+        pytest.param(BASE, linear_combine([(1.0, BASE), (1.0, constant_element(2, 0.5))]),
+                     r"^member 0\.5 is not in chaos 2: constant 0\.5, kernel orders \[2\]$",
+                     id="constant"),
+        pytest.param(BASE, linear_combine([(1.0, BASE), (1.0, basis_element(2, 2))]),
+                     r"^member 0\.5 is not in chaos 2: constant 0\.0, "
+                     r"kernel orders \[1, 2\]$", id="mixed-orders"),
+    ])
+    def test_outside_chaos_k_refused_before_sampling(self, monkeypatch, limit, member,
+                                                     match):
+        monkeypatch.setattr(experiments, "sample", _no_sampling)
+        with pytest.raises(ValueError, match=match):
+            dm_rate(2, [(0.25, self.BASE), (0.5, member)], limit, 2000, seed=1)
 
 
 class TestCarberyWright:
@@ -208,7 +247,7 @@ class TestGradientSmallBall:
 
 
 def _no_sampling(*args, **kwargs):
-    raise AssertionError("sampled before the thresholds were checked")
+    raise AssertionError("sampled before the input was checked")
 
 
 @pytest.mark.parametrize("call", [
@@ -222,6 +261,37 @@ def test_nan_threshold_refused_before_sampling(call, monkeypatch):
     monkeypatch.setattr(experiments, "sample", _no_sampling)
     with pytest.raises(ValueError, match="must be positive"):
         call()
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: fourth_moment_certificate(2, [], 2000, seed=1), "members",
+                 id="fourth_moment_certificate"),
+    pytest.param(lambda: shigekawa_rate(2, [], basis_element(1, 1), 2000, seed=1), "members",
+                 id="shigekawa_rate"),
+    pytest.param(lambda: dm_rate(2, [], pair_sum_element(1), 2000, seed=1), "members",
+                 id="dm_rate"),
+    pytest.param(lambda: carbery_wright_probe(pair_sum_element(2), [], 10_000, seed=1),
+                 "alphas", id="carbery_wright_probe"),
+    pytest.param(lambda: df_small_ball_probe(pair_sum_element(2), [], 10_000, seed=1),
+                 "lambdas", id="df_small_ball_probe"),
+    pytest.param(lambda: df_small_ball_probe(pair_sum_element(2), np.array([]), 10_000,
+                                             seed=1), "lambdas", id="df_small_ball_probe-array"),
+    pytest.param(lambda: peccati_tudor_run([1, 2], [], np.eye(2), 10_000, seed=1), "vectors",
+                 id="peccati_tudor_run"),
+    pytest.param(lambda: moo_invariance([], 2000, seed=1), "specs", id="moo_invariance"),
+    pytest.param(lambda: d12_rate_probe([], basis_element(1, 1), 1.0, 2000, seed=1),
+                 "members", id="d12_rate_probe"),
+])
+def test_empty_family_refused_before_sampling(call, name, monkeypatch):
+    monkeypatch.setattr(experiments, "sample", _no_sampling)
+    with pytest.raises(ValueError, match=f"^{name} must not be empty$"):
+        call()
+
+
+def test_threshold_grids_may_be_arrays():
+    grid = np.array([0.5, 0.1])
+    assert len(carbery_wright_probe(pair_sum_element(2), grid, 10_000, seed=1).rows) == 2
+    assert len(df_small_ball_probe(pair_sum_element(2), grid, 10_000, seed=1).rows) == 2
 
 
 class TestPeccatiTudor:
@@ -303,8 +373,25 @@ class TestMultilinear:
                             law_values=(0.0, 2.0), law_probs=(0.5, 0.5))
         spec = MultilinearSpec({(1,): 1.0}, law="discrete",
                                law_values=(-1.0, 1.0), law_probs=(0.5, 0.5))
-        batch = sample_multilinear(spec, 2000, seed=3)
-        assert set(np.unique(batch.values)) <= {-1.0, 1.0}
+        values = sample_multilinear(spec, 2000, seed=3)
+        assert set(np.unique(values)) <= {-1.0, 1.0}
+
+    @pytest.mark.parametrize("coeffs", [{(1,): math.nan}, {(1,): math.inf},
+                                        {(): math.nan, (1,): 1.0}],
+                             ids=["nan", "inf", "nan-constant"])
+    def test_non_finite_coefficient_refused(self, coeffs):
+        with pytest.raises(ValueError, match="must be finite"):
+            MultilinearSpec(coeffs)
+
+    @pytest.mark.parametrize("values, probs", [
+        ((-1.0, math.nan, 1.0), (0.5, 0.0, 0.5)),
+        ((-1.0, math.inf, 1.0), (0.5, 0.0, 0.5)),
+        ((-1.0, 1.0), (0.5, math.nan)),
+        ((-1.0, 0.0, 1.0), (0.5, math.nan, 0.5)),
+    ], ids=["nan-value", "inf-value", "nan-prob", "nan-middle-prob"])
+    def test_non_finite_discrete_law_refused(self, values, probs):
+        with pytest.raises(ValueError, match="needs matching, finite values and probs"):
+            MultilinearSpec({(1,): 1.0}, law="discrete", law_values=values, law_probs=probs)
 
     def test_chaos_conversion_agrees_pointwise(self, gen):
         spec = MultilinearSpec({(1,): 0.6, (2, 3): 0.8})
@@ -353,7 +440,7 @@ class TestStreamedMultilinear:
             x = rng.discrete(31, 0, count, values, probs)
         want = multilinear_eval(spec, x.reshape(self.N, self.DIM))
         for workers in (1, 2):
-            got = sample_multilinear(spec, self.N, 31, workers=workers).values
+            got = sample_multilinear(spec, self.N, 31, workers=workers)
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -438,8 +525,8 @@ class TestFixedGates:
     def test_dm_verdict_from_rows_and_constants(self):
         base = make_kernel(2, 2, [((1, 1), 1.0 / math.sqrt(2.0))])
         direction = make_kernel(2, 2, [((1, 2), 0.5)])
-        perts = [(2.0 ** -j, direction) for j in range(1, 5)]
-        rep = dm_rate(2, base, perts, 20_000, seed=5)
+        scales = [2.0 ** -j for j in range(1, 5)]
+        rep = dm_rate(2, *perturbation(base, direction, scales), 20_000, seed=5)
         verdict, slope = _dm_verdict(rep.rows, 0.25, DM_SLOPE_SLACK, DM_STABILITY_FACTOR)
         assert verdict == rep.verdict
         assert f"log-log slope = {slope:.4f}" in rep.notes

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from chaoslab import cli, experiments, io
 from chaoslab import (ChaosElement, basis_element, constant_element, make_kernel,
                       pair_sum_element, sample)
-from chaoslab.chaos import SampleBatch
 from chaoslab.experiments import ExperimentReport
 from helpers import nonzero_kernel, random_element
 
@@ -724,7 +723,7 @@ class TestNonFiniteResults:
         for save in (io.save_report, io.save_rows_csv):
             with pytest.raises(io.SchemaError, match="^report/rows/0/b/c/1: expected a finite"):
                 save(rep, str(tmp_path / "r.out"))
-        vec = SampleBatch(np.array([[0.0, 1.0], [2.0, -np.inf]]), 1, "demo")
+        vec = np.array([[0.0, 1.0], [2.0, -np.inf]])
         with pytest.raises(io.SchemaError, match="^samples/1/1: expected a finite"):
             io.save_samples_csv(vec, str(tmp_path / "s.csv"))
         assert os.listdir(tmp_path) == []
@@ -744,3 +743,45 @@ def test_verify_pt_refuses_covariance_before_sampling(tmp_path, capsys, monkeypa
     assert cli.main(argv) == 2
     assert "error: target covariance must be symmetric" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+ORDER6_DICT = {"dim": 2, "constant": 0.0, "kernels": [
+    {"order": 6, "dim": 2, "entries": [{"idx": [1, 1, 1, 2, 2, 2], "coef": 0.1}]}]}
+K2_CHAOS = {"dim": 2, "constant": 0.0, "kernels": [TestConfigExitCodes.K2]}
+
+
+@pytest.mark.parametrize("experiment, cfg, message", [
+    # Gamma(diff, diff) of an order-6 member has order 10, above ORDER_CAP
+    pytest.param("d12", {"alpha": 1.0, "members": ["MEMBER"], "limit": K2_CHAOS},
+                 "error: carre du champ order 10 exceeds cap 8", id="d12-order-6"),
+    pytest.param("dm", {"k": 3, "base": TestConfigExitCodes.K2, "direction": K2B,
+                        "scales": [0.5]},
+                 "error: limit is not in chaos 3: constant 0.0, kernel orders [2]",
+                 id="dm-limit-order"),
+    # base 0.5 H(1,1) plus -0.5 times H(1,1) cancels
+    pytest.param("dm", {"k": 2, "base": TestConfigExitCodes.K2,
+                        "direction": {"order": 2, "dim": 2,
+                                      "entries": [{"idx": [1, 1], "coef": 1.0}]},
+                        "scales": [0.25, -0.5]},
+                 "error: member -0.5 is not in chaos 2: constant 0.0, kernel orders []",
+                 id="dm-cancelled-member"),
+    pytest.param("dball", {"chaos": ORDER6_DICT, "lambdas": [1.0]},
+                 "error: carre du champ order 10 exceeds cap 8", id="dball-order-6"),
+])
+def test_exact_checks_refuse_before_sampling(tmp_path, capsys, monkeypatch, experiment,
+                                             cfg, message):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the exact checks")
+
+    monkeypatch.setattr(experiments, "sample", no_sampling)
+    member = tmp_path / "m6.json"
+    member.write_text(json.dumps(ORDER6_DICT))
+    if "members" in cfg:
+        cfg = {**cfg, "members": [str(member)]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 1, "n_samples": 10_000, **cfg}))
+    out = tmp_path / "rep.json"
+    assert cli.main(["verify", experiment, "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
