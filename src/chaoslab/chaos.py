@@ -35,8 +35,8 @@ from .kernels import (ORDER_CAP, Index, SymmetricKernel, _add_scaled,
                       _multiplicities, hermite_table, inner, perm_count,
                       slice_label, sym_contract)
 
-_SAMPLE_CHUNK = 1 << 16  # draws per rng call
-_SAMPLE_BLOCK = 1 << 20  # input coordinates drawn and evaluated together
+_SAMPLE_CHUNK = 1 << 15  # draws per rng call
+_SAMPLE_BLOCK = 1 << 18  # input coordinates drawn and evaluated together (2 MiB)
 
 
 class OrderCapError(ValueError):
@@ -433,9 +433,10 @@ def sample(target: ChaosElement | ChaosVector, n_samples: int, seed: int,
     blocks and start a thread for each.  Each block is drawn at its own
     counters and then evaluated.  With workers > 1 and several blocks, a
     pool of workers threads takes whole blocks; otherwise they run in
-    turn.  Peak memory is bounded by one block per worker, not by
-    n_samples * dim.  Blocks and workers only partition the counter
-    stream and the rows, and cannot change any value.
+    turn.  Peak memory is bounded by one block (2 MiB) and one piece's
+    generator temporaries per worker, not by n_samples * dim.  Blocks
+    and workers only partition the counter stream and the rows, and
+    cannot change any value.
     """
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")

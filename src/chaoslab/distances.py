@@ -16,9 +16,11 @@ Every estimator is a pure function of (inputs, seed): bootstrap
 resampling happens on histogram counts (multinomially), which is
 distribution-identical to resampling the underlying observations for
 these statistics, and much cheaper.  The replicates are drawn one after
-another, then stacked under the observed counts and evaluated as one
-array, so each statistic runs once per call (row 0 is the point
-estimate) and the chain DP sweeps all replicates together.
+another into one preallocated array per argument, under the observed
+counts (row 0, the point estimate), and each statistic is called once on
+those arrays: the histogram TV and the chain DP are vectorized over the
+replicates, while the KDE and 2d-grid statistics reduce row by row, so
+no (replicates, cells) float temporary exists.
 
 scipy is imported inside the two functions that use it (normal_cdf,
 which tv_vs_density calls, and small_ball), so importing chaoslab, its
@@ -101,18 +103,23 @@ def _bootstrap(stat, samples: list[tuple[np.ndarray, int]], n_boot: int,
 
     samples holds one (counts, n) pair per argument of stat; each replicate
     redraws every argument's counts, in argument order, from one generator
-    seeded by (seed, label).  The draws are made replicate by replicate,
-    then each argument's rows (observed counts first) are stacked into one
-    (n_boot + 1, cells) array and stat is called once on them; it returns
-    one value per row.  A cap clamps the value and both CI ends.
+    seeded by (seed, label).  Each argument gets one (n_boot + 1, cells)
+    array, of the counts' dtype widened to int64 (so float for
+    histogram2d cells): row 0 is the observed counts and row i the ith
+    replicate, written in place as it is drawn.  stat is called once on
+    the arrays and returns one value per row.  A cap clamps the value and
+    both CI ends.
     """
     gen = np.random.default_rng(rng.derive(seed, label))
     probs = [(n, c / n) for c, n in samples]
-    rows = [[c] for c, _ in samples]
-    for _ in range(n_boot):
-        for arg, (n, p) in zip(rows, probs):
-            arg.append(gen.multinomial(n, p))
-    vals = stat(*map(np.stack, rows))
+    arrays = [np.empty((n_boot + 1, c.size), dtype=np.result_type(c, np.int64))
+              for c, _ in samples]
+    for a, (c, _) in zip(arrays, samples):
+        a[0] = c
+    for i in range(1, n_boot + 1):
+        for a, (n, p) in zip(arrays, probs):
+            a[i] = gen.multinomial(n, p)
+    vals = stat(*arrays)
     return _finish(vals[0], vals[1:], method, tuple(n for _, n in samples), cap)
 
 
@@ -158,7 +165,9 @@ def tv_vs_density(batch, mean: float = 0.0, var: float = 1.0,
     evaluated by binned convolution on KDE_GRID_POINTS points spanning the
     data range +- 4h; the estimate is half the trapezoid integral of
     |kde - target| plus the target mass beyond the grid.  Bootstrap
-    resamples the bin counts with the bandwidth held fixed.
+    resamples the bin counts with the bandwidth held fixed; the KDE of
+    each replicate is formed and integrated in turn, so only one grid of
+    float temporaries is live at a time.
     """
     x = _samples(batch, MIN_SAMPLES)
     if not math.isfinite(mean):
@@ -187,8 +196,11 @@ def tv_vs_density(batch, mean: float = 0.0, var: float = 1.0,
     tail = float(normal_cdf(lo, mean, var) + (1.0 - normal_cdf(hi, mean, var)))
 
     def stat(c: np.ndarray) -> np.ndarray:
-        dens = np.array([np.convolve(r, kernel, mode="same") for r in c]) / (n * dx)
-        return 0.5 * (np.trapezoid(np.abs(dens - target), dx=dx, axis=1) + tail)
+        out = np.empty(len(c))
+        for i, r in enumerate(c):
+            dens = np.convolve(r, kernel, mode="same") / (n * dx)
+            out[i] = np.trapezoid(np.abs(dens - target), dx=dx)
+        return 0.5 * (out + tail)
 
     return _bootstrap(stat, [(counts, n)], n_boot, seed, 0x7D1, "tv-kde", cap=1.0)
 
@@ -217,7 +229,8 @@ def tv_multivariate(batch, cov, n_boot: int = 200, seed: int = 0) -> DistanceEst
 
     Cells span +-4 sqrt(max C_ii) per axis; the Gaussian cell mass is
     density at the center times cell area, and mass escaping the grid is
-    counted once from each side.
+    counted once from each side.  The L1 gap over the cells is reduced
+    one bootstrap row at a time.
     """
     x = _samples(batch, MIN_SAMPLES_FINE, shape=(2,))
     n = x.shape[0]
@@ -239,8 +252,10 @@ def tv_multivariate(batch, cov, n_boot: int = 200, seed: int = 0) -> DistanceEst
     cells = np.append(counts, n - counts.sum())  # last slot = escaped mass
 
     def stat(c: np.ndarray) -> np.ndarray:
-        emp = c[:, :-1] / n
-        return 0.5 * (np.abs(emp - gmass).sum(axis=1) + c[:, -1] / n + gout)
+        gap = np.empty(len(c))
+        for i, r in enumerate(c):
+            gap[i] = np.abs(r[:-1] / n - gmass).sum()
+        return 0.5 * (gap + c[:, -1] / n + gout)
 
     return _bootstrap(stat, [(cells, n)], n_boot, seed, 0x7D3, "tv-grid2d", cap=1.0)
 

@@ -572,13 +572,18 @@ def d12_rate_probe(members: Sequence[tuple[float, ChaosElement]],
     the dropped mass reported (the estimate is flagged unreliable above
     1e-4).  The TVs use common random numbers (_crn_tvs), so identical
     members give exactly zero.  Every exact quantity, and so every cap
-    check, comes before the first sample is drawn.
+    check, comes before the first sample is drawn.  A limit with
+    E||DF_inf||^2 = 0 (a constant) is outside the rate's hypothesis, whose
+    negative moment is then infinite, and raises ValueError.
     """
     _nonempty(members, "members")
     if not (0.0 < alpha <= 2.0):
         raise ValueError("alpha must lie in (0, 2]")
     expo = alpha / (alpha + 2.0)
     grad_sq = carre_du_champ(f_inf, f_inf)
+    if not expectation(grad_sq) > 0.0:
+        raise ValueError("limit has E||DF_inf||^2 = 0: the D^{1,2} rate needs a "
+                         "nonconstant limit")
     diffs = [linear_combine([(1.0, fel), (-1.0, f_inf)]) for _, fel in members]
     dnorms = [math.sqrt(max(moment(d, 2) + expectation(carre_du_champ(d, d)), 0.0))
               for d in diffs]

@@ -493,7 +493,7 @@ class TestStreamedSampling:
     """sample() draws and evaluates in row blocks; the reference draws the
     whole (N, dim) input in one rng call and evaluates it at once."""
 
-    DIM = 7  # does not divide 2^16, so blocks and Gaussian chunks straddle rows
+    DIM = 7  # does not divide 2^15, so blocks and Gaussian chunks straddle rows
     N = 2 * (_SAMPLE_BLOCK // DIM) + 1234  # three blocks, the last one ragged
 
     @staticmethod
@@ -580,10 +580,41 @@ class TestStreamedSampling:
             tracemalloc.stop()
         assert peak < 20 * 2 ** 20
 
+    def test_peak_memory_under_two_blocks_and_the_output(self):
+        # one block, one piece's generator temporaries and the output
+        fel = pair_sum_element(100)
+        tracemalloc.start()
+        try:
+            sample(fel, 50_000, 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * _SAMPLE_BLOCK * 8 + 50_000 * 8
+
+    def test_workers_take_blocks_of_a_wide_vector(self, gen, monkeypatch):
+        dim, n = 201, 5000
+        vec = ChaosVector((basis_element(dim, dim), random_element(gen, dim, 2, terms=6),
+                           single_integral(make_kernel(2, dim, [((1, dim), 1.0), ((7, 7), 0.5)]))))
+        rows, real = [], chaos.gaussian_matrix
+
+        def spy(dim, n_samples, *args, **kwargs):
+            rows.append(n_samples)
+            return real(dim, n_samples, *args, **kwargs)
+
+        monkeypatch.setattr(chaos, "gaussian_matrix", spy)
+        want = sample(vec, n, 26)
+        rows.clear()
+        got = sample(vec, n, 26, workers=3)
+        assert len(rows) > 1 and sum(rows) == n
+        assert max(rows) == _SAMPLE_BLOCK // dim
+        assert _same_bits(got, want)
+        x = self._reference_input(dim, n, 26)
+        assert _same_bits(want, np.column_stack([evaluate_batch(c, x) for c in vec.components]))
+
     @pytest.mark.parametrize("law", ["rademacher", "discrete"])
     def test_multilinear_peak_memory_bounded_by_a_block(self, law):
-        # dim 400: one 2^20-coordinate block is 8 MB, and its draws come in
-        # cache-sized pieces, not as one call with 8 MB integer temporaries
+        # dim 400: one 2^18-coordinate block is 2 MB, and its draws come in
+        # cache-sized pieces, not as one call with 2 MB integer temporaries
         spec = MultilinearSpec(rademacher_average(400).coeffs, law=law,
                                law_values=(-1.0, 1.0), law_probs=(0.5, 0.5))
         tracemalloc.start()

@@ -1,6 +1,8 @@
+import inspect
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from scipy.ndimage import maximum_filter1d
 from chaoslab import (DegenerateSampleError, fm_two_samples, small_ball,
                       tv_multivariate, tv_two_samples, tv_vs_density,
                       wasserstein1)
-from chaoslab import rng
-from chaoslab.distances import _fm_lattice, _fm_stat, normal_cdf, normal_pdf
+from chaoslab import distances, rng
+from chaoslab.distances import (KDE_GRID_POINTS, _fm_lattice, _fm_stat, normal_cdf,
+                                normal_pdf)
 
 TV_SHIFT3 = 2.0 * normal_cdf(1.5) - 1.0  # TV of unit normals 3 apart
 
@@ -574,3 +577,146 @@ class TestBootstrapMatchesReplicateLoop:
         xy = rng.gaussians(210, 0, 2 * 12_000).reshape(-1, 2) * 1.2
         assert _triple(tv_multivariate(xy, cov, n_boot=n_boot, seed=7)) == \
             _loop_tv_multivariate(xy, cov, n_boot, 7)
+
+
+# ---------------------------------------------------------------------------
+# reference: the row lists, np.stack and vectorized KDE and 2d-grid
+# statistics that the preallocated, row-by-row bootstrap replaced
+
+def _stacked_bootstrap(stat, samples, n_boot, seed, label, method, cap=None):
+    gen = np.random.default_rng(rng.derive(seed, label))
+    probs = [(n, c / n) for c, n in samples]
+    rows = [[c] for c, _ in samples]
+    for _ in range(n_boot):
+        for arg, (n, p) in zip(rows, probs):
+            arg.append(gen.multinomial(n, p))
+    vals = stat(*map(np.stack, rows))
+    return distances._finish(vals[0], vals[1:], method, tuple(n for _, n in samples), cap)
+
+
+def _stacked_kde_stat(kernel, n, dx, target, tail):
+    def stat(c):
+        dens = np.array([np.convolve(r, kernel, mode="same") for r in c]) / (n * dx)
+        return 0.5 * (np.trapezoid(np.abs(dens - target), dx=dx, axis=1) + tail)
+    return stat
+
+
+def _stacked_grid_stat(n, gmass, gout):
+    def stat(c):
+        emp = c[:, :-1] / n
+        return 0.5 * (np.abs(emp - gmass).sum(axis=1) + c[:, -1] / n + gout)
+    return stat
+
+
+_VECTORIZED = {"tv-kde": _stacked_kde_stat, "tv-grid2d": _stacked_grid_stat}
+
+
+def _stacked(monkeypatch, call):
+    """call() run through the stacked bootstrap.  The KDE and 2d-grid
+    statistics are rebuilt in their vectorized form from the variables the
+    estimator's own statistic closes over, so the setup is shared and only
+    the bootstrap and the reduction differ."""
+    def bootstrap(stat, samples, n_boot, seed, label, method, cap=None):
+        if method in _VECTORIZED:
+            stat = _VECTORIZED[method](**inspect.getclosurevars(stat).nonlocals)
+        return _stacked_bootstrap(stat, samples, n_boot, seed, label, method, cap)
+
+    with monkeypatch.context() as m:
+        m.setattr(distances, "_bootstrap", bootstrap)
+        return call()
+
+
+class TestBootstrapMatchesStackedArrays:
+    """Writing replicates into one preallocated array per argument and
+    reducing the KDE and 2d-grid statistics row by row gives the bits of
+    the row lists, np.stack and the vectorized statistics."""
+
+    @staticmethod
+    def _check(monkeypatch, call):
+        """Both routes give the same bits in every statistic value (the
+        point and each replicate, as _finish receives them) and in the
+        estimate."""
+        seen, finish = [], distances._finish
+
+        def spy(point, boots, *args, **kwargs):
+            seen.append(_bits(np.append(point, boots)))
+            return finish(point, boots, *args, **kwargs)
+
+        monkeypatch.setattr(distances, "_finish", spy)
+        assert _bits(_triple(call())) == _bits(_triple(_stacked(monkeypatch, call)))
+        assert len(seen) == 2 and seen[0] == seen[1]
+
+    @pytest.mark.parametrize("counts", [np.array([3, 0, 5, 2]),         # np.histogram
+                                        np.array([3.0, 0.0, 5.0, 2.0])])  # histogram2d
+    def test_replicate_arrays_equal_stacked_rows(self, counts):
+        def collect(into):
+            def stat(*arrays):
+                into.extend(arrays)
+                return np.zeros(len(arrays[0]))
+            return stat
+
+        other = np.array([1, 4, 4, 1])
+        got, want = [], []
+        for bootstrap, into in ((distances._bootstrap, got), (_stacked_bootstrap, want)):
+            bootstrap(collect(into), [(counts, 10), (other, 10)], 25, 7, 0x7D2, "m")
+        assert [a.dtype for a in got] == [a.dtype for a in want] == [counts.dtype, np.int64]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("n_boot", [0, 1, 25])
+    def test_tv_vs_density(self, monkeypatch, n_boot):
+        x = gauss(218, 4000, mean=0.3, sd=1.1)
+        self._check(monkeypatch, lambda: tv_vs_density(x, 0.0, 1.0, n_boot=n_boot, seed=7))
+
+    @pytest.mark.parametrize("n_boot", [0, 1, 25])
+    def test_tv_vs_density_clamped_kernel(self, monkeypatch, n_boot):
+        # sigma is at most about (max - min) / 2, so h < 0.14 (max - min) at
+        # N >= 1000, and on the shipped grid the clamp (which needs h above
+        # about (max - min) / 2) cannot be reached; on a 4-point grid a
+        # two-point sample reaches it (unclamped radius 2, clamp 1)
+        monkeypatch.setattr(distances, "KDE_GRID_POINTS", 4)
+        x = np.where(np.arange(1000) % 2 == 0, -1.0, 1.0)
+        kernels = []
+        real = distances._bootstrap
+
+        def spy(stat, *args, **kwargs):
+            kernels.append(inspect.getclosurevars(stat).nonlocals["kernel"])
+            return real(stat, *args, **kwargs)
+
+        call = lambda: tv_vs_density(x, 0.0, 1.0, n_boot=n_boot, seed=7)  # noqa: E731
+        with monkeypatch.context() as m:
+            m.setattr(distances, "_bootstrap", spy)
+            call()
+        assert kernels[0].size == 2 * (4 // 2 - 1) + 1
+        self._check(monkeypatch, call)
+
+    @pytest.mark.parametrize("n_boot", [0, 1, 25])
+    def test_tv_multivariate_escaped_mass(self, monkeypatch, n_boot):
+        xy = rng.gaussians(226, 0, 2 * 12_000).reshape(-1, 2) * 2.0
+        cov = np.array([[1.0, 0.3], [0.3, 1.2]])
+        assert (np.abs(xy) > 4.0 * math.sqrt(1.2)).any(axis=1).sum() > 100
+        self._check(monkeypatch, lambda: tv_multivariate(xy, cov, n_boot=n_boot, seed=7))
+
+    @pytest.mark.parametrize("n_boot", [0, 1, 25])
+    def test_tv_two_samples(self, monkeypatch, n_boot):
+        x, y = gauss(220, 8000), gauss(221, 8000, mean=0.3)
+        self._check(monkeypatch, lambda: tv_two_samples(x, y, n_boot=n_boot, seed=7))
+
+    @pytest.mark.parametrize("n_boot", [0, 1, 25])
+    def test_fm_two_samples(self, monkeypatch, n_boot):
+        x, y = gauss(222, 5000), gauss(223, 5000, mean=0.4, sd=1.3)
+        self._check(monkeypatch, lambda: fm_two_samples(x, y, n_boot=n_boot, seed=7))
+
+    def test_kde_peak_memory_is_one_replicate_array(self):
+        # normal_cdf imports scipy.special on first use; load it untraced
+        import scipy.special  # noqa: F401
+
+        x = gauss(224, 50_000)
+        tracemalloc.start()
+        try:
+            tv_vs_density(x, 0.0, 1.0, n_boot=200, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (201, grid) int64 replicate array plus one grid per row; a
+        # stacked copy and float arrays of every row would double it
+        assert peak < 2 * 201 * KDE_GRID_POINTS * 8

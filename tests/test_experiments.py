@@ -422,7 +422,7 @@ class TestStreamedMultilinear:
     """sample_multilinear draws and evaluates in row blocks; the reference
     draws the whole (N, dim) input in one rng call and evaluates it at once."""
 
-    DIM = 7  # does not divide 2^16
+    DIM = 7  # does not divide 2^15
     N = 2 * (_SAMPLE_BLOCK // DIM) + 1234  # three blocks, the last one ragged
     COEFFS = {(1,): 0.6, (2, 7): 0.48, (3, 5, 6): 0.64}
     LAW = (-1.5811388300841898, 0.0, 1.5811388300841898), (0.2, 0.6, 0.2)
@@ -479,6 +479,14 @@ class TestD12Rate:
     def test_alpha_range(self):
         with pytest.raises(ValueError, match="alpha"):
             d12_rate_probe([(0.0, self.limit)], self.limit, 2.5, 20_000, seed=1)
+
+    @pytest.mark.parametrize("value", [0.0, 2.0])
+    def test_constant_limit_refused_before_sampling(self, monkeypatch, value):
+        # E||DF_inf||^-alpha is infinite: the rate has no hypothesis to run on
+        monkeypatch.setattr(experiments, "sample", _no_sampling)
+        members = [(t, linear_combine([(t, basis_element(1, 1))])) for t in (0.5, 0.25)]
+        with pytest.raises(ValueError, match=r"^limit has E\|\|DF_inf\|\|\^2 = 0"):
+            d12_rate_probe(members, constant_element(1, value), 1.0, 20_000, seed=1)
 
 
 class TestIdentitySuite:

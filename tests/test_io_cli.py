@@ -754,6 +754,11 @@ K2_CHAOS = {"dim": 2, "constant": 0.0, "kernels": [TestConfigExitCodes.K2]}
     # Gamma(diff, diff) of an order-6 member has order 10, above ORDER_CAP
     pytest.param("d12", {"alpha": 1.0, "members": ["MEMBER"], "limit": K2_CHAOS},
                  "error: carre du champ order 10 exceeds cap 8", id="d12-order-6"),
+    # a constant limit has no gradient, so E||DF_inf||^-alpha is infinite
+    pytest.param("d12", {"alpha": 1.0, "members": ["MEMBER"],
+                         "limit": {"dim": 2, "constant": 0.0, "kernels": []}},
+                 "error: limit has E||DF_inf||^2 = 0: the D^{1,2} rate needs a "
+                 "nonconstant limit", id="d12-constant-limit"),
     pytest.param("dm", {"k": 3, "base": TestConfigExitCodes.K2, "direction": K2B,
                         "scales": [0.5]},
                  "error: limit is not in chaos 3: constant 0.0, kernel orders [2]",
