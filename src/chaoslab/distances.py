@@ -19,8 +19,9 @@ these statistics, and much cheaper.  The replicates are drawn one after
 another into one preallocated array per argument, under the observed
 counts (row 0, the point estimate), and each statistic is called once on
 those arrays: the histogram TV and the chain DP are vectorized over the
-replicates, while the KDE and 2d-grid statistics reduce row by row, so
-no (replicates, cells) float temporary exists.
+replicates (their arrays are small), while the KDE and 2d-grid
+statistics reduce row by row and build no (replicates, grid) float
+temporary.
 
 scipy is imported inside the two functions that use it (normal_cdf,
 which tv_vs_density calls, and small_ball), so importing chaoslab, its

@@ -500,6 +500,19 @@ class TestStreamedSampling:
     def _reference_input(dim: int, n: int, seed: int) -> np.ndarray:
         return rng.gaussians(seed, 0, n * dim).reshape(n, dim)
 
+    @staticmethod
+    def _block_rows(monkeypatch) -> list[int]:
+        """The row count of every block drawn from now on, through a spy
+        on gaussian_matrix."""
+        rows, real = [], chaos.gaussian_matrix
+
+        def spy(dim, n_samples, *args, **kwargs):
+            rows.append(n_samples)
+            return real(dim, n_samples, *args, **kwargs)
+
+        monkeypatch.setattr(chaos, "gaussian_matrix", spy)
+        return rows
+
     def test_element_bit_for_bit(self, gen):
         fel = random_element(gen, self.DIM, 3, terms=4)
         x = self._reference_input(self.DIM, self.N, 21)
@@ -554,13 +567,7 @@ class TestStreamedSampling:
                 return map(fn, items)
 
         monkeypatch.setattr(chaos, "ThreadPoolExecutor", SerialPool)
-        rows, real = [], chaos.gaussian_matrix
-
-        def spy(dim, n_samples, *args, **kwargs):
-            rows.append(n_samples)
-            return real(dim, n_samples, *args, **kwargs)
-
-        monkeypatch.setattr(chaos, "gaussian_matrix", spy)
+        rows = self._block_rows(monkeypatch)
         fel = single_integral(make_kernel(2, self.DIM, [((1, 7), 1.0)]))
         want = sample(fel, 30_000, 24)
         assert rows == [30_000] and pools == []
@@ -595,13 +602,7 @@ class TestStreamedSampling:
         dim, n = 201, 5000
         vec = ChaosVector((basis_element(dim, dim), random_element(gen, dim, 2, terms=6),
                            single_integral(make_kernel(2, dim, [((1, dim), 1.0), ((7, 7), 0.5)]))))
-        rows, real = [], chaos.gaussian_matrix
-
-        def spy(dim, n_samples, *args, **kwargs):
-            rows.append(n_samples)
-            return real(dim, n_samples, *args, **kwargs)
-
-        monkeypatch.setattr(chaos, "gaussian_matrix", spy)
+        rows = self._block_rows(monkeypatch)
         want = sample(vec, n, 26)
         rows.clear()
         got = sample(vec, n, 26, workers=3)
