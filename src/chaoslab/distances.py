@@ -23,11 +23,13 @@ replicates (their arrays are small), while the KDE and 2d-grid
 statistics reduce row by row and build no (replicates, grid) float
 temporary.
 
-scipy is imported inside the two functions that use it (normal_cdf,
-which tv_vs_density calls, and small_ball), so importing chaoslab, its
-exact computations and every other estimator never load it; that
+Only small_ball uses scipy (betaincinv, for the Clopper-Pearson
+interval), and imports it inside the function, so importing chaoslab,
+its exact computations and every other estimator never load it; that
 import is about half of a short exact command's start-up time and
-memory.
+memory.  normal_cdf, which tv_vs_density needs for the target's tail
+mass, is a pure-Python port of the Cephes ndtr that scipy.special.ndtr
+runs, and gives the same bits.
 """
 
 from __future__ import annotations
@@ -148,13 +150,100 @@ def _covariance_2x2(cov) -> np.ndarray:
     return cov
 
 
-def normal_cdf(x, mean: float = 0.0, var: float = 1.0):
-    from scipy.special import ndtr
+def _normal_params(mean, var) -> tuple[float, float]:
+    """mean and var of a normal target as floats, after checking that the
+    mean is finite and the variance finite and positive."""
+    if not math.isfinite(mean):
+        raise ValueError(f"target mean must be finite, got {mean}")
+    if not (math.isfinite(var) and var > 0.0):
+        raise ValueError(f"target var must be a finite positive number, got {var}")
+    return float(mean), float(var)
 
-    return ndtr((x - mean) / math.sqrt(var))
+
+# Cephes ndtr.c (S. L. Moshier), after W. J. Cody's rational Chebyshev
+# approximations of erf and erfc (Math. Comp. 1969): erf(x) = x T(x^2) / U(x^2)
+# for |x| < 1; erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8 and
+# exp(-x^2) R(x) / S(x) from 8 on.  U, Q and S have an implicit leading 1.
+_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+      7.00332514112805075473E3, 5.55923013010394962768E4)
+_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+      2.26290000613890934246E4, 4.92673942608635921086E4)
+_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+      4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+      9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+      9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+      1.65666309194161350182E3, 5.57535340817727675546E2)
+_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+      6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+      1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_MAXLOG = 7.09782712893383996843E2   # log of the largest double: exp(-x^2) underflows beyond
+_SQRT1_2 = 7.07106781186547524401E-1
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    """coef[0] x^N + ... + coef[N], by Horner's rule."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple[float, ...]) -> float:
+    """x^N + coef[0] x^(N-1) + ... + coef[N-1], by Horner's rule."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtr(a: float) -> float:
+    """Cephes ndtr(a) = P(N(0, 1) <= a), operation for operation.
+
+    ndtr calls erf only for |a/sqrt 2| < 1 and erfc only for |a/sqrt 2| >= 1,
+    so their branches for the other side (and erfc's mirror for
+    negative arguments, which returns 2 on underflow) never run and are
+    left out.
+    """
+    if a != a:
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < 1.0:
+        w = x * x
+        return 0.5 + 0.5 * (x * _polevl(w, _T) / _p1evl(w, _U))
+    w = -z * z
+    if w < -_MAXLOG:
+        y = 0.0
+    elif z < 8.0:
+        y = math.exp(w) * _polevl(z, _P) / _p1evl(z, _Q)
+    else:
+        y = math.exp(w) * _polevl(z, _R) / _p1evl(z, _S)
+    y *= 0.5
+    return 1.0 - y if x > 0.0 else y
+
+
+def normal_cdf(x, mean: float = 0.0, var: float = 1.0):
+    """P(N(mean, var) <= x), elementwise: a float for a scalar x, else an
+    array of x's shape.
+
+    (x - mean) / sqrt(var) goes through a pure-Python port of Cephes ndtr
+    (Moshier's implementation of Cody's erf/erfc approximations), which is
+    what scipy.special.ndtr runs; the result equals scipy.special.ndtr on
+    the same argument bit for bit (tests/test_distances.py compares them),
+    so KDE-TV does not need to import scipy.  Each element is evaluated
+    with math.exp, not numpy's vectorized exp, which need not match libm
+    to the last bit.  Built for the two tail masses of tv_vs_density, not
+    for large arrays.
+    """
+    mean, var = _normal_params(mean, var)
+    z = np.asarray((x - mean) / math.sqrt(var), dtype=float)
+    return np.array([_ndtr(v) for v in z.ravel().tolist()]).reshape(z.shape)[()]
 
 
 def normal_pdf(x, mean: float = 0.0, var: float = 1.0):
+    mean, var = _normal_params(mean, var)
     return np.exp(-(x - mean) ** 2 / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
 
@@ -171,10 +260,7 @@ def tv_vs_density(batch, mean: float = 0.0, var: float = 1.0,
     float temporaries is live at a time.
     """
     x = _samples(batch, MIN_SAMPLES)
-    if not math.isfinite(mean):
-        raise ValueError(f"target mean must be finite, got {mean}")
-    if not (math.isfinite(var) and var > 0.0):
-        raise ValueError(f"target var must be a finite positive number, got {var}")
+    mean, var = _normal_params(mean, var)
     n = x.size
     sigma = float(np.std(x, ddof=1))
     if sigma == 0.0:

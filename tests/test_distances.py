@@ -6,7 +6,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.ndimage import maximum_filter1d
 
 from chaoslab import (DegenerateSampleError, fm_two_samples, small_ball,
                       tv_multivariate, tv_two_samples, tv_vs_density,
@@ -15,11 +14,77 @@ from chaoslab import distances, rng
 from chaoslab.distances import (KDE_GRID_POINTS, _fm_lattice, _fm_stat, normal_cdf,
                                 normal_pdf)
 
-TV_SHIFT3 = 2.0 * normal_cdf(1.5) - 1.0  # TV of unit normals 3 apart
+TV_SHIFT3 = math.erf(1.5 / math.sqrt(2.0))  # TV of unit normals 3 apart: 2 Phi(1.5) - 1
+
+
+BAD_TARGETS = [(0.0, 0.0, "var"), (0.0, -1.0, "var"), (0.0, math.nan, "var"),
+               (0.0, math.inf, "var"), (math.nan, 1.0, "mean"), (math.inf, 1.0, "mean")]
 
 
 def gauss(seed, n, mean=0.0, sd=1.0):
     return mean + sd * rng.gaussians(seed, 0, n)
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestNormalTarget:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("f", [normal_cdf, normal_pdf])
+    @pytest.mark.parametrize("x", [0.5, np.array([0.5])], ids=["scalar", "array"])
+    @pytest.mark.parametrize("mean, var, name", BAD_TARGETS)
+    def test_bad_parameters_rejected(self, f, x, mean, var, name):
+        # var 0 used to divide by zero (scalar) or return 1 / nan (array),
+        # and a nan mean returned nan
+        with pytest.raises(ValueError, match=f"target {name} must be"):
+            f(x, mean, var)
+
+
+class TestNormalCdfMatchesNdtr:
+    """normal_cdf ports the Cephes ndtr behind scipy.special.ndtr and must
+    return the same bits: compared as uint64, never within a tolerance."""
+
+    def test_seeded_sample(self):
+        from scipy.special import ndtr
+        gen = np.random.default_rng(20)
+        x = np.concatenate([gen.normal(0.0, 3.0, 60_000), gen.uniform(-40.0, 40.0, 30_000),
+                            gen.normal(0.0, 0.7, 20_000), gen.uniform(-9.0, -3.0, 10_000)])
+        assert (bits(normal_cdf(x)) == bits(ndtr(x))).all()
+
+    def test_branch_edges_and_special_values(self):
+        from scipy.special import ndtr
+        s, maxlog = distances._SQRT1_2, distances._MAXLOG
+        cuts = [(math.sqrt(2.0), lambda z: z < 1.0),            # erf | erfc
+                (8.0 * math.sqrt(2.0), lambda z: z < 8.0),      # P/Q | R/S
+                (math.sqrt(maxlog) / s, lambda z: -z * z < -maxlog)]  # underflow to 0
+        parts = []
+        for a, side in cuts:
+            window = a + np.arange(-8, 9) * np.spacing(a)   # a and 8 neighbours each way
+            assert len({side(abs(v * s)) for v in window}) == 2   # the window straddles the cut
+            parts += [window, -window]
+        tiny = np.finfo(float).tiny
+        parts.append([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                      tiny, -tiny, np.nextafter(tiny, 0.0), -1e-310, 1.7976931348623157e308,
+                      -1.7976931348623157e308])
+        x = np.concatenate(parts)
+        assert (bits(normal_cdf(x)) == bits(ndtr(x))).all()
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    def test_shapes(self, shape):
+        from scipy.special import ndtr
+        x = rng.gaussians(21, 0, math.prod(shape)).reshape(shape) * 2.0
+        got = normal_cdf(x, 1.5, 2.5)
+        want = ndtr((x - 1.5) / math.sqrt(2.5))
+        assert np.shape(got) == shape and type(got) is type(want)
+        assert (bits(got) == bits(want)).all()
+
+    @pytest.mark.parametrize("x", [0.3, -2, np.float64(4.1)])
+    def test_scalar_in_scalar_out(self, x):
+        from scipy.special import ndtr
+        got = normal_cdf(x)
+        assert isinstance(got, float) and np.ndim(got) == 0
+        assert bits(got) == bits(ndtr(x))
 
 
 class TestTvVsDensity:
@@ -55,9 +120,7 @@ class TestTvVsDensity:
         assert 0.0 <= est.value <= 1.0 and est.ci_high <= 1.0
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("mean, var, name", [
-        (0.0, 0.0, "var"), (0.0, -1.0, "var"), (0.0, math.nan, "var"),
-        (0.0, math.inf, "var"), (math.nan, 1.0, "mean"), (math.inf, 1.0, "mean")])
+    @pytest.mark.parametrize("mean, var, name", BAD_TARGETS)
     def test_bad_target_rejected_before_binning(self, monkeypatch, mean, var, name):
         def no_histogram(*args, **kwargs):
             raise AssertionError("histogram built before the target was checked")
@@ -389,6 +452,10 @@ def _loop_estimate(stat, samples, n_boot, seed, label, cap=None):
 
 
 def _loop_fm_stat(diff, lv, window):
+    # scipy is imported here, not at the top, so that the tracemalloc tests
+    # of this module see an import that a library call makes
+    from scipy.ndimage import maximum_filter1d
+
     best = lv * diff[0]
     if window is None or window >= lv.size - 1:
         for d in diff[1:]:
@@ -707,9 +774,6 @@ class TestBootstrapMatchesStackedArrays:
         self._check(monkeypatch, lambda: fm_two_samples(x, y, n_boot=n_boot, seed=7))
 
     def test_kde_peak_memory_is_one_replicate_array(self):
-        # normal_cdf imports scipy.special on first use; load it untraced
-        import scipy.special  # noqa: F401
-
         x = gauss(224, 50_000)
         tracemalloc.start()
         try:

@@ -522,6 +522,35 @@ FUZZ_CHAOS = {"dim": 2, "constant": 0.5, "kernels": [
     {"order": 2, "dim": 2, "entries": [{"idx": [1, 1], "coef": 1.0},
                                        {"idx": [1, 2], "coef": 0.25}]}]}
 
+
+@pytest.mark.parametrize("names, loads_scipy", [
+    (["fourth-moment", "pt", "shigekawa", "moo", "dm", "d12"], False),
+    (["cw"], True), (["dball"], True)])
+def test_verify_scipy_footprint(tmp_path, names, loads_scipy):
+    """Only small_ball (cw, dball) loads scipy; KDE-TV (fourth-moment, pt,
+    and tv_vs_density as a library call) and the rest of verify do not."""
+    argvs = []
+    for i, (name, cfg) in enumerate(c for c in FUZZ_CONFIGS if c[0] in names):
+        (tmp_path / f"cfg{i}.json").write_text(json.dumps(cfg))
+        argvs.append(["verify", name, "--config", str(tmp_path / f"cfg{i}.json"),
+                      "--out", str(tmp_path / f"rep{i}.json")])
+    code = ("import json, sys\n"
+            "import chaoslab.cli\n"
+            "from chaoslab import rng, tv_vs_density\n"
+            f"codes = [chaoslab.cli.main(argv) for argv in {argvs!r}]\n"
+            "tv_vs_density(rng.gaussians(1, 0, 2000), 0.5, 2.0, n_boot=5)\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+            "                                if m.split('.')[0] == 'scipy')]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert len(codes) == len(argvs) >= len(names) and set(codes) <= {0, 1}
+    if loads_scipy:
+        assert "scipy.special" in modules
+    else:
+        assert modules == []
+
+
 DELETE = object()
 RENAME = object()
 # small integers only, so no mutation asks for a huge run; the floats include
