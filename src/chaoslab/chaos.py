@@ -230,7 +230,6 @@ def _expand_pairs(f_el: ChaosElement, g_el: ChaosElement, first_r: int,
     return const
 
 
-@cache
 def _product_weight(k: int, l: int, r: int) -> int:
     return math.factorial(r) * math.comb(k, r) * math.comb(l, r)
 
@@ -440,6 +439,8 @@ def sample(target: ChaosElement | ChaosVector, n_samples: int, seed: int,
     """
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
     vector = isinstance(target, ChaosVector)
     parts = target.components if vector else (target,)
     dim = target.dim

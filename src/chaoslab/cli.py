@@ -2,8 +2,9 @@
 
 Exit codes are the machine contract: 0 when the run passes (or the bound
 is vacuous), 1 when an experiment verdict is fail, 2 on usage or parse
-errors.  Human-readable text goes to stderr; structured results go to
-the report file named in the config (or --out).
+errors and on an input too large to allocate.  Human-readable text goes
+to stderr; structured results go to the report file named in the config
+(or --out).
 
 Seeds are mandatory everywhere: reproducibility is the product, so
 nothing ever falls back to wall-clock entropy.  The --threads flag only
@@ -279,7 +280,7 @@ def main(argv=None) -> int:
         print(_report_summary(rep, seconds), file=sys.stderr)
         return 0 if rep.verdict in ("pass", "vacuous") else 1
 
-    except (ValueError, OSError) as exc:  # io.SchemaError included
+    except (ValueError, OSError, MemoryError) as exc:  # io.SchemaError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

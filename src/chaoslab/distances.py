@@ -85,6 +85,12 @@ def _samples(values, minimum: int = 1, shape: tuple[int, ...] = ()) -> np.ndarra
     return x
 
 
+def _at_least(value: int, least: int, name: str) -> None:
+    """Refuse an estimator knob (n_boot, cells, levels) below its least value."""
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def _finish(point: float, boots: np.ndarray, method: str,
             counts: tuple[int, ...], cap: float | None = None) -> DistanceEstimate:
     if boots.size:
@@ -261,6 +267,7 @@ def tv_vs_density(batch, mean: float = 0.0, var: float = 1.0,
     """
     x = _samples(batch, MIN_SAMPLES)
     mean, var = _normal_params(mean, var)
+    _at_least(n_boot, 0, "n_boot")
     n = x.size
     sigma = float(np.std(x, ddof=1))
     if sigma == 0.0:
@@ -299,6 +306,7 @@ def tv_two_samples(s1, s2, n_boot: int = 200, seed: int = 0) -> DistanceEstimate
     Upward-biased at finite N; identical inputs give exactly 0.
     """
     x1, x2 = _samples(s1, MIN_SAMPLES), _samples(s2, MIN_SAMPLES)
+    _at_least(n_boot, 0, "n_boot")
     n1, n2 = x1.size, x2.size
     pooled = _pooled_counts(x1, x2, max(TV_MIN_BINS, int(min(n1, n2) ** (1.0 / 3.0))))
     if pooled is None:
@@ -322,6 +330,7 @@ def tv_multivariate(batch, cov, n_boot: int = 200, seed: int = 0) -> DistanceEst
     x = _samples(batch, MIN_SAMPLES_FINE, shape=(2,))
     n = x.shape[0]
     cov = _covariance_2x2(cov)
+    _at_least(n_boot, 0, "n_boot")
 
     half = 4.0 * math.sqrt(float(cov.diagonal().max()))
     edges = np.linspace(-half, half, GRID2D_CELLS + 1)
@@ -446,6 +455,9 @@ def fm_two_samples(s1, s2, cells: int = 512, levels: int = 201,
     discretized class that converges as cells and levels grow.
     """
     x1, x2 = _samples(s1, MIN_SAMPLES), _samples(s2, MIN_SAMPLES)
+    _at_least(cells, 1, "cells")
+    _at_least(levels, 2, "levels")
+    _at_least(n_boot, 0, "n_boot")
     n1, n2 = x1.size, x2.size
     pooled = _pooled_counts(x1, x2, cells)
     if pooled is None:
@@ -464,6 +476,7 @@ def wasserstein1(s1, s2, n_boot: int = 200, seed: int = 0) -> DistanceEstimate:
     x1, x2 = _samples(s1), _samples(s2)
     if x1.size != x2.size:
         raise ValueError(f"sample sizes differ: {x1.size} vs {x2.size}")
+    _at_least(n_boot, 0, "n_boot")
     n = x1.size
     a = np.sort(x1)
     b = np.sort(x2)

@@ -11,6 +11,9 @@ permutation counts:
     <f, g>  =  sum over tuples t of f(t) g(t)
             =  sum over sorted alpha of perm_count(alpha) c_alpha d_alpha.
 
+Contraction and symmetrization run one loop for every r and every split;
+their production caller is the single-chaos moment route.
+
 Coefficients exactly equal to zero are never stored, so emptiness is an
 exact algebraic statement.  All objects are immutable after construction
 and safe to share between threads.
@@ -88,8 +91,6 @@ def _multiset_diff(alpha: Index, sub: Index) -> Index:
 
 def _split_by_sub(f: SymmetricKernel, r: int) -> dict[Index, list[tuple[Index, float]]]:
     """Group f's entries by each size-r sub-multiset A: A -> [(alpha - A, c)]."""
-    if r == f.order:
-        return {alpha: [((), c)] for alpha, c in f.entries.items()}
     out: dict[Index, list[tuple[Index, float]]] = {}
     for alpha, c in f.entries.items():
         for sub in _sub_multisets(alpha, r):
@@ -228,30 +229,27 @@ def contract(f: SymmetricKernel, g: SymmetricKernel, r: int) -> BipartiteKernel:
     f(xi, a) g(eta, a); grouping tuples a by their multiset A gives the
     implemented form  sum_A (r!/prod mult_A!) f(xi + A) g(eta + A).
     For r = 0 this is the plain tensor product; for r = order of both
-    it is the scalar <f, g> stored under the empty index pair.
+    it is the scalar <f, g> stored under the empty index pair.  One loop
+    over the shared sub-multisets A serves every r; the production caller
+    is chaos._single_chaos_moment, at f = g and 1 <= r <= q - 1.
     """
     if f.dim != g.dim:
         raise ValueError(f"dim mismatch: {f.dim} vs {g.dim}")
     if not (0 <= r <= min(f.order, g.order)):
         raise ValueError(f"contraction order {r} outside 0..{min(f.order, g.order)}")
 
-    out: dict[tuple[Index, Index], float]
-    if r == 0:
-        # every (xi, eta) key occurs once: the plain tensor product
-        out = {(xi, eta): c * d for xi, c in f.entries.items() for eta, d in g.entries.items()}
-    else:
-        fmap, gmap = _split_by_sub(f, r), _split_by_sub(g, r)
-        out = {}
-        for sub, flist in fmap.items():
-            glist = gmap.get(sub)
-            if glist is None:
-                continue
-            w = perm_count(sub)
-            for xi, c in flist:
-                wc = w * c
-                for eta, d in glist:
-                    key = (xi, eta)
-                    out[key] = out.get(key, 0.0) + wc * d
+    fmap, gmap = _split_by_sub(f, r), _split_by_sub(g, r)
+    out: dict[tuple[Index, Index], float] = {}
+    for sub, flist in fmap.items():
+        glist = gmap.get(sub)
+        if glist is None:
+            continue
+        w = perm_count(sub)
+        for xi, c in flist:
+            wc = w * c
+            for eta, d in glist:
+                key = (xi, eta)
+                out[key] = out.get(key, 0.0) + wc * d
     out = {k: v for k, v in out.items() if v != 0.0}
     return BipartiteKernel(f.order - r, g.order - r, f.dim, out)
 
@@ -267,10 +265,6 @@ def symmetrize(t: BipartiteKernel) -> SymmetricKernel:
     m = t.left + t.right
     if m == 0:
         raise ValueError("cannot symmetrize an order-0 kernel; read the scalar directly")
-    if t.left == 0 or t.right == 0:
-        # one split per key, of weight 1, and the keys stay distinct
-        return SymmetricKernel(m, t.dim, {xi + eta: val for (xi, eta), val
-                                          in t.entries.items() if val != 0.0})
     denom = math.comb(m, t.left)
     acc: dict[Index, float] = {}
     for (xi, eta), val in t.entries.items():

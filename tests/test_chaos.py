@@ -664,6 +664,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="constant must be finite"):
             constant_element(3, c)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_sample_refuses_workers_below_one(self, monkeypatch, workers):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("drew before the workers check")
+
+        monkeypatch.setattr(chaos, "gaussian_matrix", forbidden)
+        with pytest.raises(ValueError, match=f"need workers >= 1, got {workers}"):
+            sample(H2, 1000, 1, workers=workers)
+
     def test_vector_validation(self):
         with pytest.raises(ValueError, match="dim"):
             ChaosVector((basis_element(2, 1), basis_element(3, 1)))

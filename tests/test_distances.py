@@ -405,6 +405,42 @@ class TestEstimateContract:
 
 
 
+PAIR = (gauss(201, 2000), gauss(202, 2000, mean=0.5))
+CONSTANT_PAIR = (np.full(2000, 1.5), np.full(2000, 1.5))  # pooled range 0: no bootstrap
+KNOB_CASES = [
+    ("tv_vs_density", lambda kw: tv_vs_density(PAIR[0], 0.0, 1.0, seed=1, **kw)),
+    ("tv_two_samples", lambda kw: tv_two_samples(*PAIR, seed=1, **kw)),
+    ("tv_two_samples-constant", lambda kw: tv_two_samples(*CONSTANT_PAIR, seed=1, **kw)),
+    ("tv_multivariate", lambda kw: tv_multivariate(
+        rng.gaussians(203, 0, 2 * 10_000).reshape(-1, 2), np.eye(2), seed=1, **kw)),
+    ("fm_two_samples", lambda kw: fm_two_samples(*PAIR, seed=1, **kw)),
+    ("fm_two_samples-constant", lambda kw: fm_two_samples(*CONSTANT_PAIR, seed=1, **kw)),
+    ("wasserstein1", lambda kw: wasserstein1(*PAIR, seed=1, **kw)),
+]
+FM_KNOBS = [("cells", 0), ("cells", -3), ("levels", 1), ("levels", 0), ("levels", -2)]
+
+
+@pytest.mark.parametrize("call, knob, value", [
+    *[pytest.param(call, "n_boot", -1, id=f"{name}-n_boot") for name, call in KNOB_CASES],
+    *[pytest.param(call, knob, value, id=f"{name}-{knob}{value}")
+      for name, call in KNOB_CASES if name.startswith("fm") for knob, value in FM_KNOBS],
+])
+def test_bad_knob_rejected_before_binning_or_draws(monkeypatch, call, knob, value):
+    """n_boot >= 0 on every bootstrapped estimator, and cells >= 1 and
+    levels >= 2 on fm_two_samples, are refused by name before any
+    histogram or generator is made."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the knob check")
+
+    for name in ("_pooled_counts", "_bootstrap"):
+        monkeypatch.setattr(distances, name, forbidden)
+    monkeypatch.setattr(distances.np, "histogram", forbidden)
+    monkeypatch.setattr(distances.np, "histogram2d", forbidden)
+    monkeypatch.setattr(distances.np.random, "default_rng", forbidden)
+    with pytest.raises(ValueError, match=f"{knob} must be >= .*, got {value}"):
+        call({knob: value})
+
+
 # (estimator, call on its sample sets, sets it takes, sample shape)
 NON_FINITE_CASES = [
     ("tv_vs_density", lambda s: tv_vs_density(s[0], 0.0, 1.0, seed=1), 1, ()),

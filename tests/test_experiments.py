@@ -90,6 +90,11 @@ class TestFourthMoment:
         with pytest.raises(ValueError, match="zero variance"):
             fourth_moment_certificate(2, [(0.0, constant_element(2, 1.0))], 2000, seed=1)
 
+    def test_zero_workers_refused_by_sample(self):
+        with pytest.raises(ValueError, match="need workers >= 1, got 0"):
+            fourth_moment_certificate(2, [(6.0, pair_sum_element(6))], 2000, seed=1,
+                                      workers=0)
+
 
 class TestShigekawa:
     def test_pair_sum_against_gaussian_limit(self):

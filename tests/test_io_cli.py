@@ -196,6 +196,23 @@ class TestCli:
         assert "error: /kernels/0: coefficient at index (1,) is not finite" in \
             capsys.readouterr().err
 
+    # 8e17 bytes lies beyond the address space, so numpy refuses the
+    # allocation up front and no memory is touched
+    @pytest.mark.parametrize("command", ["sample", "verify"])
+    def test_input_too_large_to_allocate_exits_2(self, tmp_path, chaos_file, capsys,
+                                                 command):
+        out = tmp_path / "out"
+        n = 100_000_000_000_000_000
+        if command == "sample":
+            argv = ["sample", "--chaos", chaos_file, "-n", str(n), "--seed", "1"]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"seed": 1, "n_samples": n, "indices": [6]}))
+            argv = ["verify", "fourth-moment", "--config", str(cfg_path)]
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert "error: Unable to allocate" in capsys.readouterr().err
+        assert {p.name for p in tmp_path.iterdir()} <= {"h2.json", "cfg.json"}  # inputs only
+
     def test_moments_max_zero_exits_2(self, chaos_file, capsys):
         assert cli.main(["moments", "--chaos", chaos_file, "--max", "0"]) == 2
         captured = capsys.readouterr()
