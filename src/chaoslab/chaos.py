@@ -32,8 +32,8 @@ import numpy as np
 
 from . import rng
 from .kernels import (ORDER_CAP, Index, SymmetricKernel, _add_scaled,
-                      _multiplicities, hermite_table, inner, perm_count,
-                      slice_label, sym_contract)
+                      _drop_zeros, _multiplicities, hermite_table, inner,
+                      perm_count, slice_label, sym_contract)
 
 _SAMPLE_CHUNK = 1 << 15  # draws per rng call
 _SAMPLE_BLOCK = 1 << 18  # input coordinates drawn and evaluated together (2 MiB)
@@ -198,8 +198,14 @@ def _expand_pairs(f_el: ChaosElement, g_el: ChaosElement, first_r: int,
     shared-label copies (order k+l-2R) by -(k+l-2R), and F LG + G LF
     scales it by -(k+l), so the carre du champ weights it by R.  F F
     takes each unordered pair of entries once, at twice the weight.
+
+    Sums collect per order n, in a dict made at n's first term.  When acc
+    holds no entries of order n, that dict is finished in place (divided
+    by n!, exact zeros deleted) and becomes acc[n], so the result is
+    built once; only a slot that the other factor's nonzero constant
+    seeded is merged into entry by entry.
     """
-    herm: dict[Index, float] = {}
+    herm: dict[int, dict[Index, float]] = {}
     square = g_el is f_el
     f_entries = _hermite_entries(f_el)
     pairs = (combinations_with_replacement(f_entries, 2) if square
@@ -210,23 +216,36 @@ def _expand_pairs(f_el: ChaosElement, g_el: ChaosElement, first_r: int,
         if not shared:
             if not first_r:
                 gamma = tuple(sorted(alpha + beta))
-                herm[gamma] = herm.get(gamma, 0.0) + hh
+                part = herm.get(len(gamma))
+                if part is None:
+                    part = herm[len(gamma)] = {}
+                part[gamma] = part.get(gamma, 0.0) + hh
             continue
         labels = sorted(shared)
         rest = [v for v in alpha + beta if v not in shared]
         for pos, w in _shared_terms(tuple([(am[v], bm[v]) for v in labels]), first_r):
             gamma = tuple(sorted(rest + [labels[i] for i in pos]))
-            herm[gamma] = herm.get(gamma, 0.0) + w * hh
-    for gamma, h in herm.items():
-        if not gamma:
-            const += h
+            part = herm.get(len(gamma))
+            if part is None:
+                part = herm[len(gamma)] = {}
+            part[gamma] = part.get(gamma, 0.0) + w * hh
+    for n, part in herm.items():
+        if not n:
+            const += part[()]
             continue
-        slot = acc.setdefault(len(gamma), {})
-        s = slot.get(gamma, 0.0) + h / math.factorial(len(gamma))
-        if s == 0.0:
-            slot.pop(gamma, None)
-        else:
-            slot[gamma] = s
+        nfact = math.factorial(n)
+        slot = acc.get(n)
+        if slot:
+            for gamma, h in part.items():
+                s = slot.get(gamma, 0.0) + h / nfact
+                if s == 0.0:
+                    slot.pop(gamma, None)
+                else:
+                    slot[gamma] = s
+            continue
+        for gamma, h in part.items():
+            part[gamma] = h / nfact
+        acc[n] = _drop_zeros(part)
     return const
 
 

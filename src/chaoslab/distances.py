@@ -299,6 +299,17 @@ def tv_vs_density(batch, mean: float = 0.0, var: float = 1.0,
     return _bootstrap(stat, [(counts, n)], n_boot, seed, 0x7D1, "tv-kde", cap=1.0)
 
 
+def _cube_root_floor(n: int) -> int:
+    """floor(n^(1/3)) for n >= 0, exact where the float cube root of a
+    perfect cube (21^3 = 9261 gives 20.99...) falls below it."""
+    k = round(n ** (1.0 / 3.0))
+    while k ** 3 > n:
+        k -= 1
+    while (k + 1) ** 3 <= n:
+        k += 1
+    return k
+
+
 def tv_two_samples(s1, s2, n_boot: int = 200, seed: int = 0) -> DistanceEstimate:
     """TV between two sample laws from a common histogram (Scheffe).
 
@@ -308,7 +319,7 @@ def tv_two_samples(s1, s2, n_boot: int = 200, seed: int = 0) -> DistanceEstimate
     x1, x2 = _samples(s1, MIN_SAMPLES), _samples(s2, MIN_SAMPLES)
     _at_least(n_boot, 0, "n_boot")
     n1, n2 = x1.size, x2.size
-    pooled = _pooled_counts(x1, x2, max(TV_MIN_BINS, int(min(n1, n2) ** (1.0 / 3.0))))
+    pooled = _pooled_counts(x1, x2, max(TV_MIN_BINS, _cube_root_floor(min(n1, n2))))
     if pooled is None:
         return DistanceEstimate(0.0, 0.0, 0.0, "tv-hist", (n1, n2))
     c1, c2, _ = pooled

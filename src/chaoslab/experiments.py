@@ -367,7 +367,9 @@ def _dm_verdict(rows: Sequence[dict], expo: float, slope_slack: float,
                 stability_factor: float) -> tuple[str, float]:
     pts = [(r["kernel_dist"], r["tv"]["value"]) for r in rows
            if r["kernel_dist"] > 0.0 and r["tv"]["value"] > 0.0]
-    if len(pts) < 2:
+    # a slope needs two distinct distances; members at one distance (scales
+    # of equal size) leave the fit undefined, like a single point
+    if len({d for d, _ in pts}) < 2:
         return "vacuous", float("nan")
     logd = np.log([p[0] for p in pts])
     logt = np.log([p[1] for p in pts])

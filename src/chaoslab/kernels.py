@@ -150,13 +150,23 @@ class BipartiteKernel:
         return math.sqrt(self.norm_sq())
 
 
+def _drop_zeros(acc: dict) -> dict:
+    """Delete acc's exact-zero values in place and return acc; the other
+    entries keep their order, so the dict can become the result it built."""
+    for key in [k for k, v in acc.items() if v == 0.0]:
+        del acc[key]
+    return acc
+
+
 def make_kernel(order: int, dim: int,
                 raw_entries: Iterable[tuple[Iterable[int], float]]) -> SymmetricKernel:
     """Build a kernel from (index tuple, coefficient) pairs.
 
-    Tuples are sorted, duplicates merged by addition, exact zeros dropped.
-    A merged coefficient that is not finite (a NaN or infinite input, or a
-    sum of duplicates that overflows) raises ValueError.
+    Tuples are sorted and duplicates merged by addition in the dict the
+    kernel keeps; exact zeros are then deleted from it (_drop_zeros), so
+    the build peaks at about the size of its result.  A merged
+    coefficient that is not finite (a NaN or infinite input, or a sum of
+    duplicates that overflows) raises ValueError.
     """
     if order < 1 or order > ORDER_CAP:
         raise ValueError(f"kernel order must be in 1..{ORDER_CAP}, got {order}")
@@ -175,7 +185,7 @@ def make_kernel(order: int, dim: int,
     for key, c in acc.items():
         if not math.isfinite(c):
             raise ValueError(f"coefficient at index {key} is not finite: {c}")
-    return SymmetricKernel(order, dim, {k: v for k, v in acc.items() if v != 0.0})
+    return SymmetricKernel(order, dim, _drop_zeros(acc))
 
 
 def zero_kernel(order: int, dim: int) -> SymmetricKernel:
@@ -231,7 +241,9 @@ def contract(f: SymmetricKernel, g: SymmetricKernel, r: int) -> BipartiteKernel:
     For r = 0 this is the plain tensor product; for r = order of both
     it is the scalar <f, g> stored under the empty index pair.  One loop
     over the shared sub-multisets A serves every r; the production caller
-    is chaos._single_chaos_moment, at f = g and 1 <= r <= q - 1.
+    is chaos._single_chaos_moment, at f = g and 1 <= r <= q - 1.  Values
+    accumulate in the dict the result keeps, and exact zeros are deleted
+    from it afterwards (_drop_zeros).
     """
     if f.dim != g.dim:
         raise ValueError(f"dim mismatch: {f.dim} vs {g.dim}")
@@ -250,8 +262,7 @@ def contract(f: SymmetricKernel, g: SymmetricKernel, r: int) -> BipartiteKernel:
             for eta, d in glist:
                 key = (xi, eta)
                 out[key] = out.get(key, 0.0) + wc * d
-    out = {k: v for k, v in out.items() if v != 0.0}
-    return BipartiteKernel(f.order - r, g.order - r, f.dim, out)
+    return BipartiteKernel(f.order - r, g.order - r, f.dim, _drop_zeros(out))
 
 
 def symmetrize(t: BipartiteKernel) -> SymmetricKernel:
@@ -260,7 +271,8 @@ def symmetrize(t: BipartiteKernel) -> SymmetricKernel:
     On the sorted multi-index gamma the result averages T over all
     multiset splits gamma = A + B with |A| = s, each split weighted by
     prod_v C(mult_gamma(v), mult_A(v)) / C(s+t, s): the fraction of the
-    (s+t)! argument permutations that realize that split.
+    (s+t)! argument permutations that realize that split.  Like contract,
+    it sums into the dict the result keeps and then deletes exact zeros.
     """
     m = t.left + t.right
     if m == 0:
@@ -275,7 +287,7 @@ def symmetrize(t: BipartiteKernel) -> SymmetricKernel:
             ways *= math.comb(a + eta.count(v), a)
         gamma = tuple(sorted(xi + eta))
         acc[gamma] = acc.get(gamma, 0.0) + val * ways / denom
-    return SymmetricKernel(m, t.dim, {k: v for k, v in acc.items() if v != 0.0})
+    return SymmetricKernel(m, t.dim, _drop_zeros(acc))
 
 
 def sym_contract(f: SymmetricKernel, g: SymmetricKernel, r: int):

@@ -156,6 +156,18 @@ class TestTvTwoSamples:
         z = np.full(2000, 1.5)
         assert tv_two_samples(z, z.copy(), seed=1).value == 0.0
 
+    @pytest.mark.parametrize("k", [21, 30, 40])
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_bin_count_is_floor_cube_root_at_cubes(self, monkeypatch, k, step):
+        # the float cube root of 21^3 = 9261 is 20.99..., which used to give
+        # one bin too few at every perfect cube from 9261 up
+        seen = []
+        monkeypatch.setattr(distances, "_pooled_counts",
+                            lambda x1, x2, bins: seen.append(bins))
+        n = k ** 3 + step
+        tv_two_samples(gauss(118, n), gauss(119, n + 5), n_boot=0, seed=1)
+        assert seen == [k if step >= 0 else k - 1]
+
 
 class TestTvMultivariate:
     def test_self_distance(self):

@@ -836,3 +836,27 @@ def test_exact_checks_refuse_before_sampling(tmp_path, capsys, monkeypatch, expe
                      "--out", str(out)]) == 2
     assert capsys.readouterr().err == message + "\n"
     assert not out.exists()
+
+
+# the criterion-9 family: base H(1,1)/sqrt(2), direction 0.5 H(1,2)
+DM_BASE = {"order": 2, "dim": 2, "entries": [{"idx": [1, 1], "coef": 0.7071067811865476}]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scales, verdict, slope, code", [
+    # every member at one kernel distance: polyfit had no slope to fit, warned,
+    # and the run passed with a slope of noise
+    ([0.25, -0.25, 0.25], "vacuous", "nan", 0),
+    ([0.25, -0.125, 0.25], "pass", "1.4354", 0),
+])
+def test_dm_slope_needs_two_distinct_distances(tmp_path, capsys, scales, verdict, slope,
+                                               code):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 3, "n_samples": 5000, "k": 2, "base": DM_BASE,
+                                    "direction": K2B, "scales": scales}))
+    out = tmp_path / "rep.json"
+    assert cli.main(["verify", "dm", "--config", str(cfg_path), "--out", str(out)]) == code
+    rep = json.loads(out.read_text())
+    assert rep["verdict"] == verdict
+    assert rep["notes"][1] == f"log-log slope = {slope}"
+    assert "Warning" not in capsys.readouterr().err
