@@ -601,10 +601,10 @@ class TestVerdictBranches:
 
     @pytest.mark.parametrize("pts, verdict", [
         ([(1.0, 0.5), (0.0, 0.0), (0.5, 0.0)], "vacuous"),  # one usable point
-        ([(0.5, 0.1), (0.5, 0.2), (0.5, 0.1)], "vacuous"),  # one distance: no slope
         ([(1.0, 0.5), (1e-4, 0.5)], "fail"),                # flat: slope 0
         ([(1.0, 0.5), (1e-4, 0.5e-3)], "fail"),             # slope 0.75, constants 100x apart
         ([(1.0, 0.5), (1e-4, 0.5e-1)], "pass"),             # slope 0.25, one constant
+        ([(0.5, 0.1), (0.5, 0.2), (0.5, 0.1)], "vacuous"),  # one distance: no slope
     ])
     def test_dm(self, pts, verdict):
         rows = [{"kernel_dist": d, "tv": _est(t)} for d, t in pts]
