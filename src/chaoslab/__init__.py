@@ -18,8 +18,8 @@ from .chaos import (ORDER_CAP, ChaosElement, ChaosVector, OrderCapError,
                     basis_element, carre_du_champ, check_ibp, constant_element,
                     covariance, det_chaos, evaluate, evaluate_batch, expectation,
                     expectation_of_product, linear_combine, malliavin_matrix,
-                    mderiv, moment, multiply, ou_generator, project, sample,
-                    single_integral, variance)
+                    mderiv, moment, moments, multiply, ou_generator, project,
+                    sample, single_integral, variance)
 from .distances import (DegenerateSampleError, DistanceEstimate,
                         fm_two_samples, small_ball, tv_multivariate,
                         tv_two_samples, tv_vs_density, wasserstein1)

@@ -6,7 +6,10 @@ sorted index alpha, I_k(f) carries the Hermite monomial
 prod_v H_{m_v}(X_v), so multiply and carre_du_champ expand entry pairs
 label by label through H_a H_b = sum_r r! C(a,r) C(b,r) H_{a+b-2r},
 which makes every moment a finite exact computation without contracting
-kernels.  Only the single-chaos third and fourth moments still contract
+kernels.  A pair's terms differ only in how many copies of each shared
+label they pair off, so each term is the pair's merged index with those
+copies cut out (_pair_cuts, cached per shared-label shape).  Only the
+single-chaos third and fourth moments still contract
 (kernels.sym_contract).  The Malliavin derivative and Ornstein-Uhlenbeck
 generator are kernel surgery.
 
@@ -16,7 +19,10 @@ moment(F, m) by repeated products refuses m * max_order > ORDER_CAP,
 which covers fourth moments of order-2 elements and squares of order-4
 elements.  Third and fourth moments of a single chaos I_q(f) come from
 contractions of f with itself instead and are capped only by the largest
-order they build: q for m = 3, 2q - 2 for m = 4.
+order they build: q for m = 3, 2q - 2 for m = 4.  moments(F, m_max)
+gives every order up to m_max with the bits of moment, building each
+power F^j, and the contraction that the single-chaos third and fourth
+moments share, once.
 """
 
 from __future__ import annotations
@@ -184,6 +190,23 @@ def _shared_terms(shape: tuple[tuple[int, int], ...],
                  for pos, num, den, big_r in terms if big_r or not first_r)
 
 
+@cache
+def _pair_cuts(shape: tuple[tuple[int, int], ...],
+               first_r: int) -> tuple[tuple[tuple[tuple[int, int], ...], float], ...]:
+    """The terms of _shared_terms(shape, first_r), in its order and with
+    its weights, as cuts of the merged index: a term that pairs off r_i
+    copies of shared label i keeps a_i + b_i - 2 r_i of them, so it is the
+    merged index with 2 r_i copies of label i removed.  Each term is
+    (cuts, weight), cuts listing (i, 2 r_i) for every r_i > 0.  The
+    disjoint shape () is the one term ((), 1.0) for a product and none for
+    a carre du champ.  Keyed like _shared_terms on the shape alone, so
+    ORDER_CAP bounds the cache the same way.
+    """
+    return tuple((tuple((i, a + b - pos.count(i)) for i, (a, b) in enumerate(shape)
+                        if a + b > pos.count(i)), w)
+                 for pos, w in _shared_terms(shape, first_r))
+
+
 def _expand_pairs(f_el: ChaosElement, g_el: ChaosElement, first_r: int,
                   const: float, acc: dict[int, dict[Index, float]]) -> float:
     """Add the kernel-pair part of F G (first_r = 0) or of the carre du
@@ -192,12 +215,18 @@ def _expand_pairs(f_el: ChaosElement, g_el: ChaosElement, first_r: int,
 
     Entries multiply as monomials (_hermite_entries), label by label: a
     label only one side carries passes through, and the shared labels
-    expand by _shared_terms.  The summed coefficient of a sorted index
-    gamma of order n, divided by n!, is its kernel entry.  The carre du
-    champ is (L(FG) - F LG - G LF) / 2: L scales a term that pairs off R
-    shared-label copies (order k+l-2R) by -(k+l-2R), and F LG + G LF
-    scales it by -(k+l), so the carre du champ weights it by R.  F F
-    takes each unordered pair of entries once, at twice the weight.
+    expand by _shared_terms.  Every pair starts from its merged index,
+    the sorted alpha + beta, and each term cuts from it the shared-label
+    copies it pairs off (_pair_cuts): the copies of a label sit together
+    in the merged index, so a cut is one tuple.index and two slices.  A
+    pair without shared labels is the single uncut term, of weight 1.0;
+    the carre du champ skips it, having no R = 0 term.  The summed
+    coefficient of a sorted index gamma of order n, divided by n!, is its
+    kernel entry.  The carre du champ is (L(FG) - F LG - G LF) / 2: L
+    scales a term that pairs off R shared-label copies (order k+l-2R) by
+    -(k+l-2R), and F LG + G LF scales it by -(k+l), so the carre du champ
+    weights it by R.  F F takes each unordered pair of entries once, at
+    twice the weight.
 
     Sums collect per order n, in a dict made at n's first term.  When acc
     holds no entries of order n, that dict is finished in place (divided
@@ -211,20 +240,16 @@ def _expand_pairs(f_el: ChaosElement, g_el: ChaosElement, first_r: int,
     pairs = (combinations_with_replacement(f_entries, 2) if square
              else product(f_entries, _hermite_entries(g_el)))
     for (alpha, am, c, fk), (beta, bm, d, fl) in pairs:
-        hh = c * d * (2 * fk * fl if square and alpha != beta else fk * fl)
-        shared = am.keys() & bm.keys()
-        if not shared:
-            if not first_r:
-                gamma = tuple(sorted(alpha + beta))
-                part = herm.get(len(gamma))
-                if part is None:
-                    part = herm[len(gamma)] = {}
-                part[gamma] = part.get(gamma, 0.0) + hh
+        if first_r and am.keys().isdisjoint(bm):
             continue
-        labels = sorted(shared)
-        rest = [v for v in alpha + beta if v not in shared]
-        for pos, w in _shared_terms(tuple([(am[v], bm[v]) for v in labels]), first_r):
-            gamma = tuple(sorted(rest + [labels[i] for i in pos]))
+        hh = c * d * (2 * fk * fl if square and alpha != beta else fk * fl)
+        ab = tuple(sorted(alpha + beta))
+        labels = sorted(am.keys() & bm.keys())
+        for cuts, w in _pair_cuts(tuple([(am[v], bm[v]) for v in labels]), first_r):
+            gamma = ab
+            for i, two_r in cuts:
+                s = gamma.index(labels[i])
+                gamma = gamma[:s] + gamma[s + two_r:]
             part = herm.get(len(gamma))
             if part is None:
                 part = herm[len(gamma)] = {}
@@ -316,7 +341,40 @@ def moment(fel: ChaosElement, m: int) -> float:
     E[F^a F^b] with a = m // 2 is read off through the isometry.  It
     raises OrderCapError when m * max_order > ORDER_CAP, a stricter check
     than the largest order it builds, b * max_order.
+
+    Only m is computed, so an error names m; moments(F, m_max) computes
+    every order up to m_max and shares the work between them.
     """
+    return _moment(fel, m, {1: fel}, {})
+
+
+def moments(fel: ChaosElement, m_max: int) -> list[float]:
+    """[E[F], E[F^2], ..., E[F^m_max]], each bit for bit as moment(F, m).
+
+    The orders are computed in turn and share their work: the product
+    route builds each power F^j once for all m, so m_max = 400 on a
+    constant makes 199 products where separate calls make 39,800, and
+    the single-chaos third and fourth moments of an even-order I_q(f)
+    build the contraction f sym-contract_{q/2} f once.  No other
+    contraction is kept.  The first order that fails raises what
+    moment(F, m) raises at that m.  m = 1 and m = 2 build nothing and
+    come from moment itself, so a profile that counts moment calls (the
+    traced exact-large run of perfbench) still sees the CLI's.
+    """
+    if m_max < 1:
+        raise ValueError("moment order must be >= 1")
+    powers = {1: fel}
+    contractions: dict[int, SymmetricKernel] = {}
+    return [moment(fel, m) if m <= 2 else _moment(fel, m, powers, contractions)
+            for m in range(1, m_max + 1)]
+
+
+def _moment(fel: ChaosElement, m: int, powers: dict[int, ChaosElement],
+            contractions: dict[int, SymmetricKernel]) -> float:
+    """E[F^m] for moment and moments.  powers maps j to F^j and starts as
+    {1: F}; the product route adds the powers it builds.  contractions
+    carries f sym-contract_{q/2} f of a single chaos from m = 3 to m = 4
+    (_single_chaos_moment)."""
     if m < 1:
         raise ValueError("moment order must be >= 1")
     if m == 1:
@@ -325,19 +383,19 @@ def moment(fel: ChaosElement, m: int) -> float:
         return expectation_of_product(fel, fel)
     if m in (3, 4) and fel.constant == 0.0 and len(fel.kernels) == 1:
         (f,) = fel.kernels.values()
-        return _single_chaos_moment(f, m)
+        return _single_chaos_moment(f, m, contractions)
     if m * fel.max_order > ORDER_CAP:
         raise OrderCapError(
             f"moment {m} of an order-{fel.max_order} element exceeds cap {ORDER_CAP}")
     a = m // 2
     b = m - a
-    powers = {1: fel}
-    for j in range(2, b + 1):
+    for j in range(len(powers) + 1, b + 1):
         powers[j] = multiply(powers[j - 1], fel)
     return expectation_of_product(powers[a], powers[b])
 
 
-def _single_chaos_moment(f: SymmetricKernel, m: int) -> float:
+def _single_chaos_moment(f: SymmetricKernel, m: int,
+                         contractions: dict[int, SymmetricKernel]) -> float:
     """E[I_q(f)^m] for m = 3 or 4 from contractions of f with itself.
 
     m = 4 (Nualart-Peccati 2005; Nourdin-Peccati 2012, ch. 5):
@@ -348,6 +406,11 @@ def _single_chaos_moment(f: SymmetricKernel, m: int) -> float:
         E[F^3] = q! (q/2)! C(q,q/2)^2 <f, f sym-contract_{q/2} f>  (q even),
     and 0 for odd q, where F^2 has no order-q term.
     At q = 2 these are 3 sigma^4 + 48 tr(A^4) and 8 tr(A^3).
+
+    m = 3 leaves f sym-contract_{q/2} f in contractions, keyed by q/2,
+    and m = 4 takes it from there instead of building it again, so a
+    caller that passes one dict to both builds it once; m = 4 removes it,
+    being its last use.
     """
     q = f.order
     built = q if m == 3 else 2 * q - 2
@@ -359,13 +422,17 @@ def _single_chaos_moment(f: SymmetricKernel, m: int) -> float:
         if q % 2:
             return 0.0
         weight = math.factorial(q) * _product_weight(q, q, q // 2)
-        return _finite(weight * inner(f, sym_contract(f, f, q // 2)), "moment 3")
+        half = contractions[q // 2] = sym_contract(f, f, q // 2)
+        return _finite(weight * inner(f, half), "moment 3")
     sigma2 = math.factorial(q) * f.norm_sq()
     total = 3.0 * sigma2 * sigma2
     for r in range(1, q):
         weight = (3 * math.comb(q - 1, r - 1) * math.comb(q, r) ** 3
                   * math.factorial(r) ** 2 * math.factorial(2 * q - 2 * r))
-        total += weight * sym_contract(f, f, r).norm_sq()
+        fr = contractions.pop(r, None) if 2 * r == q else None
+        if fr is None:
+            fr = sym_contract(f, f, r)
+        total += weight * fr.norm_sq()
     return _finite(total, "moment 4")
 
 

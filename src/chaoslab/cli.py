@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from . import io
-from .chaos import (ChaosElement, basis_element, evaluate, moment, sample,
+from .chaos import (ChaosElement, basis_element, evaluate, moments, sample,
                     single_integral)
 from .distances import MIN_SAMPLES, MIN_SAMPLES_FINE
 from .experiments import (ExperimentReport, MultilinearSpec,
@@ -239,9 +239,9 @@ def main(argv=None) -> int:
             if args.max_order < 1:
                 raise io.SchemaError("--max must be >= 1")
             # every moment is computed and checked before any is printed
-            moments = [io.value(moment(fel, m), float, f"m{m}")
-                       for m in range(1, args.max_order + 1)]
-            for m, val in enumerate(moments, 1):
+            values = [io.value(val, float, f"m{m}")
+                      for m, val in enumerate(moments(fel, args.max_order), 1)]
+            for m, val in enumerate(values, 1):
                 print(f"m{m}={val:.12g}")
             return 0
 

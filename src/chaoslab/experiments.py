@@ -232,6 +232,17 @@ def _crn_tvs(members: Sequence[tuple[float, ChaosElement]], f_inf: ChaosElement,
             for pos, (_, fel) in enumerate(members)]
 
 
+def _constants_agree(pts: Sequence[tuple[float, float]], stability_factor: float) -> bool:
+    """Whether the fitted rate constants near the limit agree: every
+    positive constant at the two smallest distinct positive distances lies
+    within stability_factor of the others.  pts are (distance, constant);
+    members at one distance (t and -t) differ only by noise, so the check
+    takes distances, not points."""
+    near = sorted({d for d, _ in pts if d > 0.0})[:2]
+    cs = [c for d, c in pts if d in near and c > 0.0]
+    return len(cs) < 2 or max(cs) <= stability_factor * min(cs)
+
+
 def fourth_moment_certificate(k: int, members: Sequence[tuple[float, ChaosElement]],
                               n_samples: int, seed: int,
                               workers: int = 1) -> ExperimentReport:
@@ -343,8 +354,9 @@ def dm_rate(k: int, members: Sequence[tuple[float, ChaosElement]],
     distance is ||f_t - f|| (t ||g|| for f_t = f + t g), and TV uses
     common random numbers (_crn_tvs).  The gate checks the log-log slope
     against the exponent 1/(2k) minus slack, and that the fitted
-    constants at the two smallest distances agree within a factor.  A
-    limit or member outside chaos k raises ValueError before any work.
+    constants at the two smallest distinct distances agree within a factor
+    (_constants_agree).  A limit or member outside chaos k raises
+    ValueError before any work.
     """
     _nonempty(members, "members")
     _in_chaos(k, f_inf, "limit")
@@ -376,9 +388,7 @@ def _dm_verdict(rows: Sequence[dict], expo: float, slope_slack: float,
     slope = float(np.polyfit(logd, logt, 1)[0])
     if slope < expo - slope_slack:
         return "fail", slope
-    smallest = sorted(pts)[:2]
-    cs = [tv / d ** expo for d, tv in smallest]
-    if max(cs) > stability_factor * min(cs):
+    if not _constants_agree([(d, tv / d ** expo) for d, tv in pts], stability_factor):
         return "fail", slope
     return "pass", slope
 
@@ -612,10 +622,7 @@ def _d12_verdict(rows: Sequence[dict], stability_factor: float) -> str:
         return "pass" if zero_ok else "fail"
     if len(live) < 2:
         return "vacuous"
-    cs = [c for _, c in sorted(live)[:2] if c > 0.0]
-    if len(cs) == 2 and max(cs) > stability_factor * min(cs):
-        return "fail"
-    return "pass"
+    return "pass" if _constants_agree(live, stability_factor) else "fail"
 
 
 # ---------------------------------------------------------------------------

@@ -643,3 +643,23 @@ class TestVerdictBranches:
     def test_d12(self, rows, verdict):
         rows = [{"d12_norm": n, "fitted_c": c, "tv": _est(t)} for n, c, t in rows]
         assert _d12_verdict(rows, D12_STABILITY_FACTOR) == verdict
+
+    # two members at the smallest distance (t and -t) and a constant about
+    # 4x theirs at the next one, which the two smallest points alone miss
+    def test_dm_stability_takes_two_distinct_distances(self):
+        rows = [{"kernel_dist": d, "tv": _est(t)}
+                for d, t in [(0.5, 0.1), (0.5, 0.09), (1.0, 0.5)]]
+        assert _dm_verdict(rows, 0.25, DM_SLOPE_SLACK, DM_STABILITY_FACTOR)[0] == "fail"
+        rows[2]["tv"] = _est(0.2)
+        assert _dm_verdict(rows, 0.25, DM_SLOPE_SLACK, DM_STABILITY_FACTOR)[0] == "pass"
+
+    def test_d12_stability_takes_two_distinct_distances(self):
+        rows = [{"d12_norm": n, "fitted_c": c, "tv": _est(t)}
+                for n, c, t in [(0.5, 1.0, 0.3), (0.5, 1.1, 0.3), (1.0, 4.0, 0.5)]]
+        assert _d12_verdict(rows, D12_STABILITY_FACTOR) == "fail"
+        rows[2]["fitted_c"] = 2.0
+        assert _d12_verdict(rows, D12_STABILITY_FACTOR) == "pass"
+        # one distance only: its constants are compared with each other
+        assert _d12_verdict(rows[:2], D12_STABILITY_FACTOR) == "pass"
+        rows[1]["fitted_c"] = 3.5
+        assert _d12_verdict(rows[:2], D12_STABILITY_FACTOR) == "fail"

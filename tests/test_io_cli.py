@@ -860,3 +860,25 @@ def test_dm_slope_needs_two_distinct_distances(tmp_path, capsys, scales, verdict
     assert rep["verdict"] == verdict
     assert rep["notes"][1] == f"log-log slope = {slope}"
     assert "Warning" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, field, dist", [
+    ("dm", {"k": 2}, "kernel_dist"),
+    ("d12", {"alpha": 1}, "d12_norm"),
+])
+def test_stability_check_takes_two_distinct_distances(tmp_path, experiment, field, dist):
+    # scales 0.25 and -0.25 sit at one distance, and the constant at the next
+    # distance (scale 0.5) is 3.5x (dm) or 3.7x (d12) the smallest, which
+    # the two smallest points alone miss
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 3, "n_samples": 5000, "base": DM_BASE,
+                                    "direction": K2B, "scales": [0.25, -0.25, 0.5],
+                                    **field}))
+    out = tmp_path / "rep.json"
+    assert cli.main(["verify", experiment, "--config", str(cfg_path), "--out", str(out)]) == 1
+    rep = json.loads(out.read_text())
+    assert rep["verdict"] == "fail"
+    dists = [r[dist] for r in rep["rows"]]
+    assert dists[0] == dists[1] < dists[2]
+    cs = [r["fitted_c"] for r in rep["rows"]]
+    assert max(cs[:2]) < 3.0 * min(cs[:2]) < cs[2]
