@@ -38,7 +38,7 @@ import numpy as np
 
 from . import rng
 from .kernels import (ORDER_CAP, Index, SymmetricKernel, _add_scaled,
-                      _drop_zeros, _multiplicities, hermite_table, inner,
+                      _finished, _multiplicities, hermite_table, inner,
                       perm_count, slice_label, sym_contract)
 
 _SAMPLE_CHUNK = 1 << 15  # draws per rng call
@@ -149,14 +149,10 @@ def project(fel: ChaosElement, k: int) -> ChaosElement:
 
 
 def _element(dim: int, const: float, acc: dict[int, dict[Index, float]]) -> ChaosElement:
-    """Chaos element from a constant and per-order entry accumulators; an
-    accumulated coefficient that is not finite raises ValueError."""
-    for k, slot in acc.items():
-        for idx, v in slot.items():
-            if not math.isfinite(v):
-                raise ValueError(f"order-{k} coefficient at index {idx} is not finite: {v}")
-    return ChaosElement(dim, const, {k: SymmetricKernel(k, dim, slot)
-                                     for k, slot in acc.items() if slot})
+    """Chaos element from a constant and per-order entry accumulators, each
+    finished in place by kernels._finished, whose error names the order."""
+    return ChaosElement(dim, const, {k: SymmetricKernel(k, dim, slot) for k, slot in acc.items()
+                                     if _finished(slot, f"order-{k} coefficient")})
 
 
 def _hermite_entries(fel: ChaosElement) -> list[tuple[Index, dict[int, int], float, int]]:
@@ -229,10 +225,10 @@ def _expand_pairs(f_el: ChaosElement, g_el: ChaosElement, first_r: int,
     twice the weight.
 
     Sums collect per order n, in a dict made at n's first term.  When acc
-    holds no entries of order n, that dict is finished in place (divided
-    by n!, exact zeros deleted) and becomes acc[n], so the result is
-    built once; only a slot that the other factor's nonzero constant
-    seeded is merged into entry by entry.
+    holds no entries of order n, that dict is divided by n! in place and
+    becomes acc[n], so the result is built once; only a slot that the
+    other factor's nonzero constant seeded is merged into, each gamma once.
+    The caller's _element finishes every slot.
     """
     herm: dict[int, dict[Index, float]] = {}
     square = g_el is f_el
@@ -262,15 +258,11 @@ def _expand_pairs(f_el: ChaosElement, g_el: ChaosElement, first_r: int,
         slot = acc.get(n)
         if slot:
             for gamma, h in part.items():
-                s = slot.get(gamma, 0.0) + h / nfact
-                if s == 0.0:
-                    slot.pop(gamma, None)
-                else:
-                    slot[gamma] = s
+                slot[gamma] = slot.get(gamma, 0.0) + h / nfact
             continue
         for gamma, h in part.items():
             part[gamma] = h / nfact
-        acc[n] = _drop_zeros(part)
+        acc[n] = part
     return const
 
 

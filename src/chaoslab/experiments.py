@@ -31,7 +31,7 @@ from .chaos import (ChaosElement, ChaosVector, OrderCapError, basis_element,
                     variance)
 from .distances import (_covariance_2x2, fm_two_samples, small_ball,
                         tv_multivariate, tv_two_samples, tv_vs_density)
-from .kernels import SymmetricKernel, make_kernel
+from .kernels import SymmetricKernel, _finished, make_kernel
 
 # Fixed gates: reports do not store them, so verdicts follow from rows alone.
 IDENTITY_GATE = 1e-8          # identity_suite: max roundoff deviation
@@ -179,7 +179,7 @@ def multilinear_to_chaos(spec: MultilinearSpec) -> ChaosElement:
     for s, c in spec.coeffs.items():
         if s:
             by_order.setdefault(len(s), {})[s] = c / math.factorial(len(s))
-    kernels = {k: SymmetricKernel(k, dim, entries) for k, entries in by_order.items()}
+    kernels = {k: SymmetricKernel(k, dim, _finished(entries)) for k, entries in by_order.items()}
     return ChaosElement(dim, const, kernels)
 
 

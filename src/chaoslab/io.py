@@ -227,6 +227,8 @@ def load_json(path: str, object_hook=None) -> dict:
             return json.load(fh, object_hook=object_hook)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+        except RecursionError:
+            raise SchemaError(f"{path}: invalid JSON (nested too deeply)") from None
 
 
 def load_config(path: str) -> dict:

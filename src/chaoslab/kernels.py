@@ -14,9 +14,9 @@ permutation counts:
 Contraction and symmetrization run one loop for every r and every split;
 their production caller is the single-chaos moment route.
 
-Coefficients exactly equal to zero are never stored, so emptiness is an
-exact algebraic statement.  All objects are immutable after construction
-and safe to share between threads.
+Every build ends in _finished, so no kernel stores an exact zero (emptiness
+is an exact algebraic statement) or a value that is not finite.  All objects
+are immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -116,16 +116,10 @@ class SymmetricKernel:
         return not self.entries
 
     def scale(self, a: float) -> "SymmetricKernel":
-        """a * self; products that underflow to zero are dropped, and a
-        product that is not finite raises ValueError."""
-        out = {}
-        for idx, c in self.entries.items():
-            v = a * c
-            if not math.isfinite(v):
-                raise ValueError(f"coefficient at index {idx} is not finite: {v}")
-            if v != 0.0:
-                out[idx] = v
-        return SymmetricKernel(self.order, self.dim, out)
+        """a * self; _finished drops products that underflow to zero and
+        refuses one that is not finite."""
+        return SymmetricKernel(self.order, self.dim,
+                               _finished({idx: a * c for idx, c in self.entries.items()}))
 
 
 @dataclass(frozen=True)
@@ -150,10 +144,13 @@ class BipartiteKernel:
         return math.sqrt(self.norm_sq())
 
 
-def _drop_zeros(acc: dict) -> dict:
-    """Delete acc's exact-zero values in place and return acc; the other
-    entries keep their order, so the dict can become the result it built."""
-    for key in [k for k, v in acc.items() if v == 0.0]:
+def _finished(acc: dict, what: str = "coefficient") -> dict:
+    """Finish a build: delete acc's exact zeros in place and return acc, or
+    raise ValueError at its first value that is not finite.  The other
+    entries keep their order, so the dict becomes the result it built."""
+    for key in [k for k, v in acc.items() if not v or not math.isfinite(v)]:
+        if acc[key]:
+            raise ValueError(f"{what} at index {key} is not finite: {acc[key]}")
         del acc[key]
     return acc
 
@@ -163,10 +160,9 @@ def make_kernel(order: int, dim: int,
     """Build a kernel from (index tuple, coefficient) pairs.
 
     Tuples are sorted and duplicates merged by addition in the dict the
-    kernel keeps; exact zeros are then deleted from it (_drop_zeros), so
-    the build peaks at about the size of its result.  A merged
-    coefficient that is not finite (a NaN or infinite input, or a sum of
-    duplicates that overflows) raises ValueError.
+    kernel keeps, so the build peaks at about the size of its result;
+    _finished deletes its exact zeros and refuses a merged coefficient that
+    is not finite (a NaN or infinite input, or duplicates that overflow).
     """
     if order < 1 or order > ORDER_CAP:
         raise ValueError(f"kernel order must be in 1..{ORDER_CAP}, got {order}")
@@ -182,10 +178,7 @@ def make_kernel(order: int, dim: int,
                 raise ValueError(f"label {v} outside 1..{dim} in index {t}")
         key = tuple(sorted(t))
         acc[key] = acc.get(key, 0.0) + float(coef)
-    for key, c in acc.items():
-        if not math.isfinite(c):
-            raise ValueError(f"coefficient at index {key} is not finite: {c}")
-    return SymmetricKernel(order, dim, _drop_zeros(acc))
+    return SymmetricKernel(order, dim, _finished(acc))
 
 
 def zero_kernel(order: int, dim: int) -> SymmetricKernel:
@@ -209,7 +202,7 @@ def kernel_add(f: SymmetricKernel, g: SymmetricKernel) -> SymmetricKernel:
         raise ValueError("kernel add requires matching order and dim")
     acc = dict(f.entries)
     _add_scaled(acc, g, 1.0)
-    return SymmetricKernel(f.order, f.dim, acc)
+    return SymmetricKernel(f.order, f.dim, _finished(acc))
 
 
 def inner(f: SymmetricKernel, g: SymmetricKernel) -> float:
@@ -242,8 +235,8 @@ def contract(f: SymmetricKernel, g: SymmetricKernel, r: int) -> BipartiteKernel:
     it is the scalar <f, g> stored under the empty index pair.  One loop
     over the shared sub-multisets A serves every r; the production caller
     is chaos._single_chaos_moment, at f = g and 1 <= r <= q - 1.  Values
-    accumulate in the dict the result keeps, and exact zeros are deleted
-    from it afterwards (_drop_zeros).
+    accumulate in the dict the result keeps, and _finished deletes its
+    exact zeros and refuses a sum that overflows.
     """
     if f.dim != g.dim:
         raise ValueError(f"dim mismatch: {f.dim} vs {g.dim}")
@@ -262,7 +255,7 @@ def contract(f: SymmetricKernel, g: SymmetricKernel, r: int) -> BipartiteKernel:
             for eta, d in glist:
                 key = (xi, eta)
                 out[key] = out.get(key, 0.0) + wc * d
-    return BipartiteKernel(f.order - r, g.order - r, f.dim, _drop_zeros(out))
+    return BipartiteKernel(f.order - r, g.order - r, f.dim, _finished(out))
 
 
 def symmetrize(t: BipartiteKernel) -> SymmetricKernel:
@@ -272,7 +265,7 @@ def symmetrize(t: BipartiteKernel) -> SymmetricKernel:
     multiset splits gamma = A + B with |A| = s, each split weighted by
     prod_v C(mult_gamma(v), mult_A(v)) / C(s+t, s): the fraction of the
     (s+t)! argument permutations that realize that split.  Like contract,
-    it sums into the dict the result keeps and then deletes exact zeros.
+    it sums into the dict the result keeps and then finishes it (_finished).
     """
     m = t.left + t.right
     if m == 0:
@@ -287,7 +280,7 @@ def symmetrize(t: BipartiteKernel) -> SymmetricKernel:
             ways *= math.comb(a + eta.count(v), a)
         gamma = tuple(sorted(xi + eta))
         acc[gamma] = acc.get(gamma, 0.0) + val * ways / denom
-    return SymmetricKernel(m, t.dim, _drop_zeros(acc))
+    return SymmetricKernel(m, t.dim, _finished(acc))
 
 
 def sym_contract(f: SymmetricKernel, g: SymmetricKernel, r: int):

@@ -229,6 +229,19 @@ class TestCli:
             assert f"error: {path}: invalid JSON" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["bad.json"]
 
+    def test_json_nested_too_deeply_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)   # beyond the recursion limit of json's scanner
+        out = tmp_path / "rep.json"
+        for argv in (["eval", "--chaos", str(path), "--point", "1"],
+                     ["moments", "--chaos", str(path)],
+                     ["verify", "dm", "--config", str(path), "--out", str(out)]):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {path}: invalid JSON (nested too deeply)\n"
+        assert sorted(os.listdir(tmp_path)) == ["deep.json"]
+
     @pytest.mark.parametrize("threads", ["0", "-1", "two"])
     def test_threads_must_be_positive(self, chaos_file, threads, capsys):
         assert cli.main(["--threads", threads, "eval", "--chaos", chaos_file,

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import hermite_e
 
-from chaoslab import (BipartiteKernel, SymmetricKernel, contract,
-                      hermite_eval, inner, kernel_add, make_kernel,
-                      perm_count, single_integral, slice_label, sym_contract,
-                      symmetrize, zero_kernel)
+from chaoslab import (BipartiteKernel, MultilinearSpec, SymmetricKernel,
+                      contract, hermite_eval, inner, kernel_add, make_kernel,
+                      multilinear_to_chaos, perm_count, single_integral,
+                      slice_label, sym_contract, symmetrize, zero_kernel)
 from chaoslab.kernels import (_multiplicities, _multiset_diff, _sub_multisets,
                               hermite_table)
 from dense_oracle import (dense_from_kernel, dense_sym_contract,
@@ -114,6 +114,31 @@ class TestScale:
     def test_overflow_raises(self):
         with pytest.raises(ValueError, match=r"coefficient at index \(1, 2\) is not finite"):
             make_kernel(2, 2, [((1, 2), 1e300)]).scale(1e300)
+
+_HUGE = make_kernel(1, 1, [((1,), 1e308)])
+_G = make_kernel(2, 2, [((1, 1), 1e200), ((1, 2), 1e200), ((2, 2), 1e200)])
+
+
+@pytest.mark.parametrize("build, refused", [
+    (lambda: kernel_add(_HUGE, _HUGE), True),
+    (lambda: contract(_G, _G, 1), True),
+    (lambda: symmetrize(contract(_G, _G, 1)), True),
+    (lambda: sym_contract(_G, _G, 1), True),
+    # the split weight C(2, 1) = 2 overflows before the average divides it out
+    (lambda: symmetrize(BipartiteKernel(1, 1, 1, {((1,), (1,)): 1e308})), True),
+    (lambda: multilinear_to_chaos(MultilinearSpec({(1, 2, 3): 1.0, (4, 5, 6): 5e-324})),
+     False),
+], ids=["kernel_add", "contract", "symmetrize-of-contract", "sym_contract",
+        "symmetrize", "multilinear_to_chaos"])
+def test_every_build_is_finished(build, refused):
+    """Every build keeps the kernel invariant: a non-finite result raises,
+    and a coefficient that underflows to zero (5e-324 / 3!) is not stored."""
+    if refused:
+        with pytest.raises(ValueError, match=r"^coefficient at index .* is not finite"):
+            build()
+    else:
+        assert build().kernels[3].entries == {(1, 2, 3): 1.0 / 6.0}
+
 
 class TestInner:
     def test_repeated_index(self):
