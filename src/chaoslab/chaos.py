@@ -3,15 +3,17 @@
 A ChaosElement is E[F] plus one symmetric kernel per active order,
 realizing F = c + sum_k I_k(f_k) over n iid standard Gaussians.  On a
 sorted index alpha, I_k(f) carries the Hermite monomial
-prod_v H_{m_v}(X_v), so multiply and carre_du_champ expand entry pairs
-label by label through H_a H_b = sum_r r! C(a,r) C(b,r) H_{a+b-2r},
-which makes every moment a finite exact computation without contracting
-kernels.  A pair's terms differ only in how many copies of each shared
-label they pair off, so each term is the pair's merged index with those
-copies cut out (_pair_cuts, cached per shared-label shape).  Only the
-single-chaos third and fourth moments still contract
-(kernels.sym_contract).  The Malliavin derivative and Ornstein-Uhlenbeck
-generator are kernel surgery.
+prod_v H_{m_v}(X_v), so multiply and carre_du_champ, both one call of
+_expand_pairs, expand entry pairs label by label through
+H_a H_b = sum_r r! C(a,r) C(b,r) H_{a+b-2r}, which makes every moment a
+finite exact computation without contracting kernels.  A pair's terms
+differ only in how many copies of each shared label they pair off, so
+each term is the pair's merged index with those copies cut out
+(_pair_cuts, cached per shared-label shape).  Only the single-chaos
+third and fourth moments still contract (kernels.sym_contract).  The
+Malliavin derivative and Ornstein-Uhlenbeck generator are kernel
+surgery.  Builders from entry dicts end in _element, and ChaosElement
+alone drops the kernels left empty.
 
 Multiplication is capped at total order ORDER_CAP, the same cap that
 bounds kernel orders in kernels.py, to bound the combinatorial blowup.
@@ -150,9 +152,11 @@ def project(fel: ChaosElement, k: int) -> ChaosElement:
 
 def _element(dim: int, const: float, acc: dict[int, dict[Index, float]]) -> ChaosElement:
     """Chaos element from a constant and per-order entry accumulators, each
-    finished in place by kernels._finished, whose error names the order."""
-    return ChaosElement(dim, const, {k: SymmetricKernel(k, dim, slot) for k, slot in acc.items()
-                                     if _finished(slot, f"order-{k} coefficient")})
+    finished in place by kernels._finished, whose error names the order.
+    A slot left empty is dropped by ChaosElement, as every empty kernel is."""
+    return ChaosElement(dim, const, {
+        k: SymmetricKernel(k, dim, _finished(slot, f"order-{k} coefficient"))
+        for k, slot in acc.items()})
 
 
 def _hermite_entries(fel: ChaosElement) -> list[tuple[Index, dict[int, int], float, int]]:
@@ -203,11 +207,12 @@ def _pair_cuts(shape: tuple[tuple[int, int], ...],
                  for pos, w in _shared_terms(shape, first_r))
 
 
-def _expand_pairs(f_el: ChaosElement, g_el: ChaosElement, first_r: int,
-                  const: float, acc: dict[int, dict[Index, float]]) -> float:
-    """Add the kernel-pair part of F G (first_r = 0) or of the carre du
-    champ <DF, DG> (first_r = 1) into acc; the order-0 part goes into
-    const, which is returned.
+def _expand_pairs(f_el: ChaosElement, g_el: ChaosElement, first_r: int) -> ChaosElement:
+    """F G (first_r = 0) or the carre du champ <DF, DG> (first_r = 1), the
+    one builder behind multiply and carre_du_champ.  It checks the dims and
+    raises OrderCapError when max_order(F) + max_order(G) - 2 first_r
+    exceeds ORDER_CAP; a product is seeded with E[F] E[G] and each side's
+    kernels times the other's constant, and the kernel pairs add the rest.
 
     Entries multiply as monomials (_hermite_entries), label by label: a
     label only one side carries passes through, and the shared labels
@@ -224,12 +229,24 @@ def _expand_pairs(f_el: ChaosElement, g_el: ChaosElement, first_r: int,
     weights it by R.  F F takes each unordered pair of entries once, at
     twice the weight.
 
-    Sums collect per order n, in a dict made at n's first term.  When acc
-    holds no entries of order n, that dict is divided by n! in place and
-    becomes acc[n], so the result is built once; only a slot that the
-    other factor's nonzero constant seeded is merged into, each gamma once.
-    The caller's _element finishes every slot.
+    Sums collect per order n, in a dict made at n's first term.  When no
+    constant part seeded order n, that dict is divided by n! in place and
+    becomes the order-n slot, so the result is built once; only a seeded
+    slot is merged into, each gamma once.  _element finishes every slot.
     """
+    if f_el.dim != g_el.dim:
+        raise ValueError(f"dim mismatch: {f_el.dim} vs {g_el.dim}")
+    top = f_el.max_order + g_el.max_order - 2 * first_r
+    if top > ORDER_CAP:
+        what = "carre du champ" if first_r else "product"
+        raise OrderCapError(f"{what} order {top} exceeds cap {ORDER_CAP}")
+    const = 0.0
+    acc: dict[int, dict[Index, float]] = {}
+    if not first_r:
+        const = f_el.constant * g_el.constant
+        for fel, other in ((f_el, g_el), (g_el, f_el)):
+            for k, ker in fel.kernels.items():
+                _add_scaled(acc.setdefault(k, {}), ker, other.constant)
     herm: dict[int, dict[Index, float]] = {}
     square = g_el is f_el
     f_entries = _hermite_entries(f_el)
@@ -263,7 +280,7 @@ def _expand_pairs(f_el: ChaosElement, g_el: ChaosElement, first_r: int,
         for gamma, h in part.items():
             part[gamma] = h / nfact
         acc[n] = part
-    return const
+    return _element(f_el.dim, const, acc)
 
 
 def _product_weight(k: int, l: int, r: int) -> int:
@@ -276,20 +293,10 @@ def multiply(f_el: ChaosElement, g_el: ChaosElement) -> ChaosElement:
     Each pair of kernel entries multiplies as Hermite monomials, label by
     label (_expand_pairs); summed over entries this is the product
     formula  I_k(f) I_l(g) = sum_r r! C(k,r) C(l,r) I_{k+l-2r}(f sym-contract_r g),
-    computed without contractions.  Order-0 terms feed the constant.
+    computed without contractions.  Order-0 terms feed the constant.  It
+    raises OrderCapError when max_order(F) + max_order(G) exceeds ORDER_CAP.
     """
-    if f_el.dim != g_el.dim:
-        raise ValueError(f"dim mismatch: {f_el.dim} vs {g_el.dim}")
-    if f_el.max_order + g_el.max_order > ORDER_CAP:
-        raise OrderCapError(
-            f"product order {f_el.max_order + g_el.max_order} exceeds cap {ORDER_CAP}")
-    acc: dict[int, dict[Index, float]] = {}
-    for k, ker in f_el.kernels.items():
-        _add_scaled(acc.setdefault(k, {}), ker, g_el.constant)
-    for l, ker in g_el.kernels.items():
-        _add_scaled(acc.setdefault(l, {}), ker, f_el.constant)
-    const = _expand_pairs(f_el, g_el, 0, f_el.constant * g_el.constant, acc)
-    return _element(f_el.dim, const, acc)
+    return _expand_pairs(f_el, g_el, 0)
 
 
 def _finite(value: float, quantity: str) -> float:
@@ -571,14 +578,7 @@ def carre_du_champ(f_el: ChaosElement, g_el: ChaosElement) -> ChaosElement:
     It lives in orders <= max_order(F) + max_order(G) - 2, and raises
     OrderCapError when that exceeds ORDER_CAP, as multiply does.
     """
-    if f_el.dim != g_el.dim:
-        raise ValueError(f"dim mismatch: {f_el.dim} vs {g_el.dim}")
-    top = f_el.max_order + g_el.max_order - 2
-    if top > ORDER_CAP:
-        raise OrderCapError(f"carre du champ order {top} exceeds cap {ORDER_CAP}")
-    acc: dict[int, dict[Index, float]] = {}
-    const = _expand_pairs(f_el, g_el, 1, 0.0, acc)
-    return _element(f_el.dim, const, acc)
+    return _expand_pairs(f_el, g_el, 1)
 
 
 def ou_generator(fel: ChaosElement) -> ChaosElement:

@@ -23,15 +23,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import rng
-from .chaos import (ChaosElement, ChaosVector, OrderCapError, basis_element,
-                    carre_du_champ, check_ibp, constant_element, covariance,
-                    det_chaos, evaluate_batch, expectation,
+from .chaos import (ChaosElement, ChaosVector, OrderCapError, _element,
+                    basis_element, carre_du_champ, check_ibp, constant_element,
+                    covariance, det_chaos, evaluate_batch, expectation,
                     expectation_of_product, linear_combine, malliavin_matrix,
                     mderiv, moment, multiply, project, sample, single_integral,
                     variance)
 from .distances import (_covariance_2x2, fm_two_samples, small_ball,
                         tv_multivariate, tv_two_samples, tv_vs_density)
-from .kernels import SymmetricKernel, _finished, make_kernel
+from .kernels import SymmetricKernel, make_kernel
 
 # Fixed gates: reports do not store them, so verdicts follow from rows alone.
 IDENTITY_GATE = 1e-8          # identity_suite: max roundoff deviation
@@ -172,15 +172,13 @@ def multilinear_eval(spec: MultilinearSpec, x: np.ndarray) -> np.ndarray:
 
 def multilinear_to_chaos(spec: MultilinearSpec) -> ChaosElement:
     """The same polynomial as a chaos element (valid because each variable
-    enters with power <= 1, where Hermite and monomial factors agree)."""
-    dim = spec.dim
-    const = spec.coeffs.get((), 0.0)
+    enters with power <= 1, where Hermite and monomial factors agree),
+    built by chaos._element like every other element from entry dicts."""
     by_order: dict[int, dict] = {}
     for s, c in spec.coeffs.items():
         if s:
             by_order.setdefault(len(s), {})[s] = c / math.factorial(len(s))
-    kernels = {k: SymmetricKernel(k, dim, _finished(entries)) for k, entries in by_order.items()}
-    return ChaosElement(dim, const, kernels)
+    return _element(spec.dim, spec.coeffs.get((), 0.0), by_order)
 
 
 def sample_multilinear(spec: MultilinearSpec, n_samples: int, seed: int,
@@ -299,7 +297,8 @@ def shigekawa_rate(p: int, members: Sequence[tuple[float, ChaosElement]],
     ratio tv / fm^(1/(2p+1)).  The gate bounds the max ratio by twice
     the median plus slack, and requires TV to drop below the threshold
     once FM does.  Exact fourth moments are reported so the uniform
-    moment bound can be seen directly.
+    moment bound can be seen directly.  A member or limit of order above p
+    is outside the theorem and raises ValueError before any sample is drawn.
     """
     _nonempty(members, "members")
     if variance(f_inf) <= 0.0:
@@ -307,6 +306,8 @@ def shigekawa_rate(p: int, members: Sequence[tuple[float, ChaosElement]],
     for label, fel in members:
         if fel.max_order > p:
             raise ValueError(f"member {label} exceeds declared max order {p}")
+    if f_inf.max_order > p:
+        raise ValueError(f"limit of order {f_inf.max_order} exceeds declared max order {p}")
     expo = 1.0 / (2.0 * p + 1.0)
     ref = sample(f_inf, n_samples, rng.derive(seed, 0), workers=workers)
     rows = []
@@ -638,9 +639,7 @@ def random_element(gen: np.random.Generator, dim: int, max_order: int,
             idx = tuple(sorted(gen.integers(1, dim + 1, size=k).tolist()))
             raw.append((idx, float(gen.uniform(-1.0, 1.0))))
         if gen.random() < 0.8:
-            ker = make_kernel(k, dim, raw)
-            if not ker.is_zero():
-                kernels[k] = ker
+            kernels[k] = make_kernel(k, dim, raw)
     const = float(gen.uniform(-1.0, 1.0)) if with_constant else 0.0
     return ChaosElement(dim, const, kernels)
 

@@ -150,8 +150,7 @@ def chaos_from_dict(obj: dict, where: str = "/chaos") -> ChaosElement:
             raise SchemaError(f"{where}/kernels/{i}/dim: {ker.dim} != element dim {dim}")
         if ker.order in kernels:
             raise SchemaError(f"{where}/kernels/{i}/order: duplicate order {ker.order}")
-        if not ker.is_zero():
-            kernels[ker.order] = ker
+        kernels[ker.order] = ker
     return ChaosElement(dim, constant, kernels)
 
 

@@ -1,5 +1,6 @@
-"""The demos are documentation that runs: every chaoslab name they import
-must exist, and the quick ones must run to the end."""
+"""The demos and the README quick tour are documentation that runs: every
+chaoslab name the demos import must exist, the quick ones must run to the
+end, and the quick tour must give the values its comments state."""
 
 import ast
 import importlib
@@ -32,3 +33,21 @@ def test_quick_demo_runs(path):
     proc = subprocess.run([sys.executable, str(path)], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_tour_does_what_its_comments_say():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("\n## Quick tour\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    shown = []  # the value of each bare expression line, in order
+    for node in ast.parse(block, "README.md").body:
+        if isinstance(node, ast.Expr):
+            shown.append(eval(compile(ast.Expression(node.value), "README.md", "eval"), scope))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), scope)
+    m4, ms, square_mean, grad_mean, tv = shown
+    assert m4 == 60
+    assert ms == [0.0, 2.0, 8.0, 60.0]
+    assert (square_mean, grad_mean) == (2, 4)
+    assert scope["values"].shape == (200_000,)
+    assert tv.ci_low <= tv.value <= tv.ci_high

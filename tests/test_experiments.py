@@ -119,6 +119,25 @@ class TestShigekawa:
         with pytest.raises(ValueError, match="order"):
             shigekawa_rate(2, [(1.0, cubic)], basis_element(1, 1), 2000, seed=1)
 
+    def test_limit_above_declared_order_rejected_before_sampling(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "sample", lambda *args, **kw: calls.append(args))
+        members = [(float(n), pair_sum_element(n, dim=40)) for n in (5, 10)]
+        limit = single_integral(make_kernel(3, 40, [((1, 2, 3), 1.0 / math.sqrt(6.0))]))
+        with pytest.raises(ValueError,
+                           match="^limit of order 3 exceeds declared max order 2$"):
+            shigekawa_rate(2, members, limit, 5000, seed=1)
+        assert calls == []
+
+    def test_members_above_the_moment_cap_report_no_fourth_moment(self):
+        # E[F^4] of X_1 + t I_3(e_1 e_2 e_3) takes the product route, 4 * 3 > ORDER_CAP
+        cubic = single_integral(make_kernel(3, 3, [((1, 2, 3), 1.0)]))
+        members = [(t, linear_combine([(1.0, basis_element(3, 1)), (t, cubic)]))
+                   for t in (0.5, 0.25)]
+        rep = shigekawa_rate(3, members, basis_element(3, 1), 2000, seed=1)
+        assert [row["fourth_moment"] for row in rep.rows] == [None, None]
+        assert rep.notes == ["rate exponent 1/(2p+1) = 0.142857 at p=3"]
+
 
 def perturbation(base, direction, scales):
     """The members (t, I(base + t direction)) and the limit I(base)."""
@@ -484,6 +503,17 @@ class TestD12Rate:
     def test_alpha_range(self):
         with pytest.raises(ValueError, match="alpha"):
             d12_rate_probe([(0.0, self.limit)], self.limit, 2.5, 20_000, seed=1)
+
+    def test_truncated_mass_flags_the_negative_moment(self):
+        # ||D (0.01 H_2(X_1))||^2 = 4e-4 X_1^2 falls below D12_TRUNC for |X_1| < 0.005
+        def h2(c):
+            return single_integral(make_kernel(2, 1, [((1, 1), c)]))
+
+        members = [(t, h2(0.01 * (1.0 + t))) for t in (0.5, 0.25)]
+        rep = d12_rate_probe(members, h2(0.01), 1.0, 5000, seed=1)
+        assert "truncated mass 4.20e-03" in rep.notes[1]
+        assert rep.notes[2] == ("negative-moment estimate unreliable: "
+                                "truncated mass exceeds 1e-4")
 
     @pytest.mark.parametrize("value", [0.0, 2.0])
     def test_constant_limit_refused_before_sampling(self, monkeypatch, value):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from chaoslab import cli, experiments, io
 from chaoslab import (ChaosElement, basis_element, constant_element, make_kernel,
-                      pair_sum_element, sample)
+                      pair_sum_element, sample, single_integral)
 from chaoslab.experiments import ExperimentReport
 from helpers import nonzero_kernel, random_element
 
@@ -103,6 +103,24 @@ class TestChaosFiles:
     def test_mistyped_numbers_rejected_with_location(self, change, where):
         with pytest.raises(io.SchemaError, match=f"^{where}: expected"):
             io.chaos_from_dict({**H2_DICT, **change})
+
+    @pytest.mark.parametrize("first, second", [
+        pytest.param([], [[1, 1]], id="empty-first"),
+        pytest.param([[1, 1]], [], id="empty-second"),
+        pytest.param([], [], id="both-empty"),
+        pytest.param([[1, 1]], [[1, 1]], id="both-nonempty"),
+    ])
+    def test_duplicate_order_refused_empty_or_not(self, tmp_path, capsys, first, second):
+        obj = {"dim": 1, "constant": 0.0, "kernels": [
+            {"order": 2, "dim": 1, "entries": [{"idx": idx, "coef": 1.0} for idx in idxs]}
+            for idxs in (first, second)]}
+        message = "/kernels/1/order: duplicate order 2"
+        with pytest.raises(io.SchemaError, match=f"^{message}$"):
+            io.chaos_from_dict(obj, where="")
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main(["eval", "--chaos", str(path), "--point", "1.5"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_kernel_dim_must_match(self):
         k = {"order": 2, "dim": 2, "entries": [{"idx": [1, 1], "coef": 1.0}]}
@@ -309,6 +327,19 @@ class TestCli:
         rows = io.load_report(out).rows
         assert [r["index"] for r in rows] == [0.0, 1.0]
         assert rows[1]["fourth_moment"] == pytest.approx(3.0 + 6.0 / 5)
+
+    def test_verify_shigekawa_limit_above_p_exits_2(self, tmp_path, capsys):
+        limit = str(tmp_path / "limit.json")
+        io.save_chaos(single_integral(make_kernel(3, 3, [((1, 2, 3), 0.5)])), limit)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 1, "n_samples": 5000, "p": 2,
+                                        "indices": [5, 10], "limit": limit}))
+        out = tmp_path / "rep.json"
+        assert cli.main(["verify", "shigekawa", "--config", str(cfg_path),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: limit of order 3 exceeds declared max order 2\n"
+        assert not out.exists()
 
     def test_verify_reports_are_byte_identical(self, tmp_path):
         cfg = {"seed": 4, "n_samples": 5000, "indices": [6]}
