@@ -8,12 +8,13 @@ _expand_pairs, expand entry pairs label by label through
 H_a H_b = sum_r r! C(a,r) C(b,r) H_{a+b-2r}, which makes every moment a
 finite exact computation without contracting kernels.  A pair's terms
 differ only in how many copies of each shared label they pair off, so
-each term is the pair's merged index with those copies cut out
-(_pair_cuts, cached per shared-label shape).  Only the single-chaos
-third and fourth moments still contract (kernels.sym_contract).  The
-Malliavin derivative and Ornstein-Uhlenbeck generator are kernel
-surgery.  Builders from entry dicts end in _element, and ChaosElement
-alone drops the kernels left empty.
+each term is the pair's merged index with those copies cut out; one
+table, _pair_cuts, cached per shared-label shape, holds every term's
+cuts and weight.  Only the single-chaos third and fourth moments still
+contract (kernels.sym_contract).  The Malliavin derivative and
+Ornstein-Uhlenbeck generator are kernel surgery.  Builders from entry
+dicts end in _element, and ChaosElement alone drops the kernels left
+empty.
 
 Multiplication is capped at total order ORDER_CAP, the same cap that
 bounds kernel orders in kernels.py, to bound the combinatorial blowup.
@@ -170,41 +171,28 @@ def _hermite_entries(fel: ChaosElement) -> list[tuple[Index, dict[int, int], flo
 
 
 @cache
-def _shared_terms(shape: tuple[tuple[int, int], ...],
-                  first_r: int) -> tuple[tuple[tuple[int, ...], float], ...]:
-    """Expand prod_i (H_{a_i}/a_i!)(H_{b_i}/b_i!) over the shared labels of
-    shape ((a_1, b_1), ...), label by label through
-    H_a H_b = sum_r r! C(a,r) C(b,r) H_{a+b-2r}, divided by a! b!.  Each
-    choice of the r_i gives a term (positions, weight): position i appears
-    a_i + b_i - 2 r_i times, and the weight is
-    prod_i (a_i+b_i-2r_i)! / (r_i! (a_i-r_i)! (b_i-r_i)!), times R = sum_i r_i
-    when first_r = 1, which drops R = 0.  Shapes carry no labels, so
-    ORDER_CAP bounds how many there are."""
-    terms = [((), 1, 1, 0)]
-    for i, (a, b) in enumerate(shape):
-        terms = [(pos + (i,) * (a + b - 2 * r), num * math.factorial(a + b - 2 * r),
-                  den * math.factorial(r) * math.factorial(a - r) * math.factorial(b - r),
-                  big_r + r)
-                 for pos, num, den, big_r in terms for r in range(min(a, b) + 1)]
-    return tuple((pos, big_r ** first_r * num / den)
-                 for pos, num, den, big_r in terms if big_r or not first_r)
-
-
-@cache
 def _pair_cuts(shape: tuple[tuple[int, int], ...],
                first_r: int) -> tuple[tuple[tuple[tuple[int, int], ...], float], ...]:
-    """The terms of _shared_terms(shape, first_r), in its order and with
-    its weights, as cuts of the merged index: a term that pairs off r_i
-    copies of shared label i keeps a_i + b_i - 2 r_i of them, so it is the
-    merged index with 2 r_i copies of label i removed.  Each term is
-    (cuts, weight), cuts listing (i, 2 r_i) for every r_i > 0.  The
-    disjoint shape () is the one term ((), 1.0) for a product and none for
-    a carre du champ.  Keyed like _shared_terms on the shape alone, so
-    ORDER_CAP bounds the cache the same way.
-    """
-    return tuple((tuple((i, a + b - pos.count(i)) for i, (a, b) in enumerate(shape)
-                        if a + b > pos.count(i)), w)
-                 for pos, w in _shared_terms(shape, first_r))
+    """The one term table of _expand_pairs: prod_i (H_{a_i}/a_i!)(H_{b_i}/b_i!)
+    over the shared labels of shape ((a_1, b_1), ...), expanded label by
+    label through H_a H_b = sum_r r! C(a,r) C(b,r) H_{a+b-2r} and divided
+    by a! b!.  Each choice of the r_i is a term (cuts, weight).  A term
+    pairs off r_i copies of shared label i and keeps a_i + b_i - 2 r_i, so
+    it is the merged index with 2 r_i copies cut out: cuts lists (i, 2 r_i)
+    for every r_i > 0.  The weight is
+    prod_i (a_i+b_i-2r_i)! / (r_i! (a_i-r_i)! (b_i-r_i)!), an exact integer
+    quotient divided once, times R = sum_i r_i when first_r = 1, which
+    drops R = 0.  The disjoint shape () is the one term ((), 1.0) for a
+    product and none for a carre du champ.  Shapes carry no labels, so
+    ORDER_CAP bounds the cache."""
+    terms = [((), 1, 1, 0)]
+    for i, (a, b) in enumerate(shape):
+        terms = [(cuts + ((i, 2 * r),) if r else cuts, num * math.factorial(a + b - 2 * r),
+                  den * math.factorial(r) * math.factorial(a - r) * math.factorial(b - r),
+                  big_r + r)
+                 for cuts, num, den, big_r in terms for r in range(min(a, b) + 1)]
+    return tuple((cuts, big_r ** first_r * num / den)
+                 for cuts, num, den, big_r in terms if big_r or not first_r)
 
 
 def _expand_pairs(f_el: ChaosElement, g_el: ChaosElement, first_r: int) -> ChaosElement:
@@ -216,9 +204,9 @@ def _expand_pairs(f_el: ChaosElement, g_el: ChaosElement, first_r: int) -> Chaos
 
     Entries multiply as monomials (_hermite_entries), label by label: a
     label only one side carries passes through, and the shared labels
-    expand by _shared_terms.  Every pair starts from its merged index,
-    the sorted alpha + beta, and each term cuts from it the shared-label
-    copies it pairs off (_pair_cuts): the copies of a label sit together
+    expand by the one term table _pair_cuts.  Every pair starts from its
+    merged index, the sorted alpha + beta, and each term cuts from it the
+    shared-label copies it pairs off: the copies of a label sit together
     in the merged index, so a cut is one tuple.index and two slices.  A
     pair without shared labels is the single uncut term, of weight 1.0;
     the carre du champ skips it, having no R = 0 term.  The summed

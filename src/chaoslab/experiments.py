@@ -322,8 +322,7 @@ def shigekawa_rate(p: int, members: Sequence[tuple[float, ChaosElement]],
             m4 = None
         rows.append({"index": label, "tv": tv.to_dict(), "fm": fm.to_dict(),
                      "ratio": ratio, "fourth_moment": m4})
-    verdict = _shigekawa_verdict(rows, SHIGEKAWA_TV_THRESHOLD, SHIGEKAWA_RATIO_SLACK,
-                                 SHIGEKAWA_FM_FLOOR)
+    verdict = _shigekawa_verdict(rows)
     notes = [f"rate exponent 1/(2p+1) = {expo:.6f} at p={p}"]
     m4s = [r["fourth_moment"] for r in rows if r["fourth_moment"] is not None]
     if m4s:
@@ -331,17 +330,16 @@ def shigekawa_rate(p: int, members: Sequence[tuple[float, ChaosElement]],
     return ExperimentReport("shigekawa", seed, rows, verdict, notes)
 
 
-def _shigekawa_verdict(rows: Sequence[dict], tv_threshold: float,
-                       ratio_slack: float, fm_floor: float) -> str:
+def _shigekawa_verdict(rows: Sequence[dict]) -> str:
     fms = [r["fm"]["value"] for r in rows]
     tvs = [r["tv"]["value"] for r in rows]
-    if max(fms) <= fm_floor:
-        return "vacuous" if max(tvs) <= tv_threshold else "fail"
+    if max(fms) <= SHIGEKAWA_FM_FLOOR:
+        return "vacuous" if max(tvs) <= SHIGEKAWA_TV_THRESHOLD else "fail"
     ratios = [r["ratio"] for r in rows]
     med = float(np.median(ratios))
-    if max(ratios) > 2.0 * med + ratio_slack:
+    if max(ratios) > 2.0 * med + SHIGEKAWA_RATIO_SLACK:
         return "fail"
-    if fms[-1] <= tv_threshold and tvs[-1] > tv_threshold:
+    if fms[-1] <= SHIGEKAWA_TV_THRESHOLD and tvs[-1] > SHIGEKAWA_TV_THRESHOLD:
         return "fail"
     return "pass"
 
@@ -370,14 +368,13 @@ def dm_rate(k: int, members: Sequence[tuple[float, ChaosElement]],
     rows = [{"t": float(t), "kernel_dist": dist, "tv": tv.to_dict(),
              "fitted_c": tv.value / dist ** expo if dist > 0.0 else 0.0}
             for (t, _), dist, tv in zip(members, dists, tvs)]
-    verdict, slope = _dm_verdict(rows, expo, DM_SLOPE_SLACK, DM_STABILITY_FACTOR)
+    verdict, slope = _dm_verdict(rows, expo)
     return ExperimentReport("davydov-martynova", seed, rows, verdict,
                             notes=[f"exponent 1/(2k) = {expo:.6f} at k={k}",
                                    f"log-log slope = {slope:.4f}"])
 
 
-def _dm_verdict(rows: Sequence[dict], expo: float, slope_slack: float,
-                stability_factor: float) -> tuple[str, float]:
+def _dm_verdict(rows: Sequence[dict], expo: float) -> tuple[str, float]:
     pts = [(r["kernel_dist"], r["tv"]["value"]) for r in rows
            if r["kernel_dist"] > 0.0 and r["tv"]["value"] > 0.0]
     # a slope needs two distinct distances; members at one distance (scales
@@ -387,9 +384,9 @@ def _dm_verdict(rows: Sequence[dict], expo: float, slope_slack: float,
     logd = np.log([p[0] for p in pts])
     logt = np.log([p[1] for p in pts])
     slope = float(np.polyfit(logd, logt, 1)[0])
-    if slope < expo - slope_slack:
+    if slope < expo - DM_SLOPE_SLACK:
         return "fail", slope
-    if not _constants_agree([(d, tv / d ** expo) for d, tv in pts], stability_factor):
+    if not _constants_agree([(d, tv / d ** expo) for d, tv in pts], DM_STABILITY_FACTOR):
         return "fail", slope
     return "pass", slope
 
@@ -519,13 +516,12 @@ def peccati_tudor_run(k_list: Sequence[int],
                      "gram_gap": gram_gap,
                      "marginal_tv": [m.to_dict() for m in marg],
                      "joint_tv": joint.to_dict()})
-    verdict = _peccati_tudor_verdict(rows, gamma_target, PT_JOINT_GATE)
+    verdict = _peccati_tudor_verdict(rows, gamma_target)
     return ExperimentReport("peccati-tudor", seed, rows, verdict,
                             notes=[f"det Gamma target = {gamma_target:.6f}"])
 
 
-def _peccati_tudor_verdict(rows: Sequence[dict], gamma_target: float,
-                           joint_gate: float) -> str:
+def _peccati_tudor_verdict(rows: Sequence[dict], gamma_target: float) -> str:
     tol = 1e-12
     def nonincreasing(xs):
         return all(b <= a + tol for a, b in zip(xs, xs[1:]))
@@ -537,7 +533,7 @@ def _peccati_tudor_verdict(rows: Sequence[dict], gamma_target: float,
         return "fail"
     if not nonincreasing([r["det_var"] for r in rows]):
         return "fail"
-    return "pass" if rows[-1]["joint_tv"]["value"] <= joint_gate else "fail"
+    return "pass" if rows[-1]["joint_tv"]["value"] <= PT_JOINT_GATE else "fail"
 
 
 def moo_invariance(specs: Sequence[MultilinearSpec], n_samples: int, seed: int,
@@ -608,7 +604,7 @@ def d12_rate_probe(members: Sequence[tuple[float, ChaosElement]],
     rows = [{"index": label, "d12_norm": dnorm, "tv": tv.to_dict(),
              "fitted_c": tv.value / dnorm ** expo if dnorm > 0.0 else 0.0}
             for (label, _), dnorm, tv in zip(members, dnorms, tvs)]
-    verdict = _d12_verdict(rows, D12_STABILITY_FACTOR)
+    verdict = _d12_verdict(rows)
     notes = [f"exponent alpha/(alpha+2) = {expo:.6f} at alpha={alpha}",
              f"E||DF_inf||^-alpha estimate {neg_moment:.6f}, truncated mass {trunc_mass:.2e}"]
     if trunc_mass > 1e-4:
@@ -616,14 +612,14 @@ def d12_rate_probe(members: Sequence[tuple[float, ChaosElement]],
     return ExperimentReport("d12-rate", seed, rows, verdict, notes)
 
 
-def _d12_verdict(rows: Sequence[dict], stability_factor: float) -> str:
+def _d12_verdict(rows: Sequence[dict]) -> str:
     live = [(r["d12_norm"], r["fitted_c"]) for r in rows if r["d12_norm"] > 0.0]
     if not live:
         zero_ok = all(r["tv"]["value"] == 0.0 for r in rows)
         return "pass" if zero_ok else "fail"
     if len(live) < 2:
         return "vacuous"
-    return "pass" if _constants_agree(live, stability_factor) else "fail"
+    return "pass" if _constants_agree(live, D12_STABILITY_FACTOR) else "fail"
 
 
 # ---------------------------------------------------------------------------

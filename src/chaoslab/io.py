@@ -141,6 +141,8 @@ def chaos_to_dict(fel: ChaosElement) -> dict:
 
 def chaos_from_dict(obj: dict, where: str = "/chaos") -> ChaosElement:
     dim = field(obj, "dim", int, where)
+    if dim < 1:
+        raise SchemaError(f"{where}/dim: must be >= 1, got {dim}")
     constant = field(obj, "constant", float, where, default=0.0)
     kobjs = field(obj, "kernels", list, where, default=[])
     kernels = {}

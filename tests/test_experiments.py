@@ -17,10 +17,8 @@ from chaoslab import (MultilinearSpec,
                       variance, zero_kernel)
 from chaoslab import ChaosElement, ChaosVector, distances, experiments, rng
 from chaoslab.chaos import _SAMPLE_BLOCK
-from chaoslab.experiments import (D12_STABILITY_FACTOR, DM_SLOPE_SLACK,
-                                  DM_STABILITY_FACTOR, _all_rows_verdict,
-                                  _d12_verdict, _dm_verdict, _moo_verdict,
-                                  _peccati_tudor_verdict, _shigekawa_verdict)
+from chaoslab.experiments import (_all_rows_verdict, _d12_verdict, _dm_verdict,
+                                  _moo_verdict, _peccati_tudor_verdict, _shigekawa_verdict)
 
 X_CUBED = linear_combine([
     (1.0, single_integral(make_kernel(3, 1, [((1, 1, 1), 1.0)]))),
@@ -542,7 +540,7 @@ class TestVerdictsRecomputable:
     def test_verdicts_are_pure_functions_of_rows(self):
         members = [(float(n), pair_sum_element(n)) for n in (5, 10)]
         rep = shigekawa_rate(2, members, basis_element(1, 1), 20_000, seed=5)
-        assert _shigekawa_verdict(rep.rows, 0.05, 0.5, 0.02) == rep.verdict
+        assert _shigekawa_verdict(rep.rows) == rep.verdict
 
         specs = [rademacher_average(n) for n in (25, 100)]
         rep2 = moo_invariance(specs, 20_000, seed=5)
@@ -550,7 +548,7 @@ class TestVerdictsRecomputable:
 
         vectors = [(float(n), pair_sum_vector(n)) for n in (5, 10)]
         rep3 = peccati_tudor_run([1, 2], vectors, np.eye(2), 20_000, seed=5)
-        assert _peccati_tudor_verdict(rep3.rows, 2.0, 0.1) == rep3.verdict
+        assert _peccati_tudor_verdict(rep3.rows, 2.0) == rep3.verdict
 
     def test_exact_quantities_are_seed_invariant(self):
         members = [(6.0, pair_sum_element(6))]
@@ -570,7 +568,7 @@ class TestFixedGates:
         direction = make_kernel(2, 2, [((1, 2), 0.5)])
         scales = [2.0 ** -j for j in range(1, 5)]
         rep = dm_rate(2, *perturbation(base, direction, scales), 20_000, seed=5)
-        verdict, slope = _dm_verdict(rep.rows, 0.25, DM_SLOPE_SLACK, DM_STABILITY_FACTOR)
+        verdict, slope = _dm_verdict(rep.rows, 0.25)
         assert verdict == rep.verdict
         assert f"log-log slope = {slope:.4f}" in rep.notes
 
@@ -581,7 +579,7 @@ class TestFixedGates:
         members = [(t, linear_combine([(1.0, limit), (t, direction)]))
                    for t in (0.5, 0.25, 0.125)]
         rep = d12_rate_probe(members, limit, 2.0, 20_000, seed=5)
-        assert _d12_verdict(rep.rows, D12_STABILITY_FACTOR) == rep.verdict
+        assert _d12_verdict(rep.rows) == rep.verdict
 
     def test_settings_are_not_parameters(self):
         removed = {
@@ -596,6 +594,10 @@ class TestFixedGates:
             distances.tv_vs_density: {"grid_points"},
             distances.tv_two_samples: {"bins"},
             distances.tv_multivariate: {"grid_cells"},
+            experiments._shigekawa_verdict: {"tv_threshold", "ratio_slack", "fm_floor"},
+            experiments._dm_verdict: {"slope_slack", "stability_factor"},
+            experiments._d12_verdict: {"stability_factor"},
+            experiments._peccati_tudor_verdict: {"joint_gate"},
         }
         for fn, names in removed.items():
             assert not names & set(inspect.signature(fn).parameters), fn.__name__
@@ -627,7 +629,7 @@ class TestVerdictBranches:
     def test_shigekawa(self, fms, tvs, ratios, verdict):
         rows = [{"fm": _est(f), "tv": _est(t), "ratio": r}
                 for f, t, r in zip(fms, tvs, ratios)]
-        assert _shigekawa_verdict(rows, 0.05, 0.5, 0.02) == verdict
+        assert _shigekawa_verdict(rows) == verdict
 
     @pytest.mark.parametrize("pts, verdict", [
         ([(1.0, 0.5), (0.0, 0.0), (0.5, 0.0)], "vacuous"),  # one usable point
@@ -638,7 +640,7 @@ class TestVerdictBranches:
     ])
     def test_dm(self, pts, verdict):
         rows = [{"kernel_dist": d, "tv": _est(t)} for d, t in pts]
-        got, slope = _dm_verdict(rows, 0.25, DM_SLOPE_SLACK, DM_STABILITY_FACTOR)
+        got, slope = _dm_verdict(rows, 0.25)
         assert got == verdict
         assert math.isnan(slope) == (verdict == "vacuous")
 
@@ -651,8 +653,8 @@ class TestVerdictBranches:
             if bad:
                 r[field] = _est(0.5) if field == "joint_tv" else 0.2
             return r
-        assert _peccati_tudor_verdict([row(False), row(False)], 2.0, 0.1) == "pass"
-        assert _peccati_tudor_verdict([row(False), row(True)], 2.0, 0.1) == "fail"
+        assert _peccati_tudor_verdict([row(False), row(False)], 2.0) == "pass"
+        assert _peccati_tudor_verdict([row(False), row(True)], 2.0) == "fail"
 
     @pytest.mark.parametrize("fms, verdict", [
         ([0.2, 0.3], "fail"),   # FM rises as the influence shrinks
@@ -672,24 +674,24 @@ class TestVerdictBranches:
     ])
     def test_d12(self, rows, verdict):
         rows = [{"d12_norm": n, "fitted_c": c, "tv": _est(t)} for n, c, t in rows]
-        assert _d12_verdict(rows, D12_STABILITY_FACTOR) == verdict
+        assert _d12_verdict(rows) == verdict
 
     # two members at the smallest distance (t and -t) and a constant about
     # 4x theirs at the next one, which the two smallest points alone miss
     def test_dm_stability_takes_two_distinct_distances(self):
         rows = [{"kernel_dist": d, "tv": _est(t)}
                 for d, t in [(0.5, 0.1), (0.5, 0.09), (1.0, 0.5)]]
-        assert _dm_verdict(rows, 0.25, DM_SLOPE_SLACK, DM_STABILITY_FACTOR)[0] == "fail"
+        assert _dm_verdict(rows, 0.25)[0] == "fail"
         rows[2]["tv"] = _est(0.2)
-        assert _dm_verdict(rows, 0.25, DM_SLOPE_SLACK, DM_STABILITY_FACTOR)[0] == "pass"
+        assert _dm_verdict(rows, 0.25)[0] == "pass"
 
     def test_d12_stability_takes_two_distinct_distances(self):
         rows = [{"d12_norm": n, "fitted_c": c, "tv": _est(t)}
                 for n, c, t in [(0.5, 1.0, 0.3), (0.5, 1.1, 0.3), (1.0, 4.0, 0.5)]]
-        assert _d12_verdict(rows, D12_STABILITY_FACTOR) == "fail"
+        assert _d12_verdict(rows) == "fail"
         rows[2]["fitted_c"] = 2.0
-        assert _d12_verdict(rows, D12_STABILITY_FACTOR) == "pass"
+        assert _d12_verdict(rows) == "pass"
         # one distance only: its constants are compared with each other
-        assert _d12_verdict(rows[:2], D12_STABILITY_FACTOR) == "pass"
+        assert _d12_verdict(rows[:2]) == "pass"
         rows[1]["fitted_c"] = 3.5
-        assert _d12_verdict(rows[:2], D12_STABILITY_FACTOR) == "fail"
+        assert _d12_verdict(rows[:2]) == "fail"

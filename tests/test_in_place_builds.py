@@ -13,6 +13,7 @@ checks that the builds peak at about the size of what they return.
 import math
 import tracemalloc
 from collections import Counter
+from functools import cache
 from itertools import chain, combinations_with_replacement, product
 
 import numpy as np
@@ -20,12 +21,33 @@ import pytest
 
 from chaoslab import (BipartiteKernel, ChaosElement, SymmetricKernel, carre_du_champ,
                       contract, make_kernel, multiply, symmetrize)
-from chaoslab.chaos import _element, _hermite_entries, _shared_terms
+from chaoslab.chaos import _element, _hermite_entries
 from chaoslab.kernels import _add_scaled, _multiset_diff, _sub_multisets, perm_count
 
 TINY = 2.0 ** -1074  # the smallest subnormal: products and quotients of it underflow
 COEFS = [1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 0.25, 3.0, -3.0]
 CONSTANTS = [0.0, 0.0, 0.5, -1.0, 2.0, -3.0 * TINY]
+
+
+@cache
+def _shared_terms(shape: tuple[tuple[int, int], ...],
+                  first_r: int) -> tuple[tuple[tuple[int, ...], float], ...]:
+    """Expand prod_i (H_{a_i}/a_i!)(H_{b_i}/b_i!) over the shared labels of
+    shape ((a_1, b_1), ...), label by label through
+    H_a H_b = sum_r r! C(a,r) C(b,r) H_{a+b-2r}, divided by a! b!.  Each
+    choice of the r_i gives a term (positions, weight): position i appears
+    a_i + b_i - 2 r_i times, and the weight is
+    prod_i (a_i+b_i-2r_i)! / (r_i! (a_i-r_i)! (b_i-r_i)!), times R = sum_i r_i
+    when first_r = 1, which drops R = 0.  Shapes carry no labels, so
+    ORDER_CAP bounds how many there are."""
+    terms = [((), 1, 1, 0)]
+    for i, (a, b) in enumerate(shape):
+        terms = [(pos + (i,) * (a + b - 2 * r), num * math.factorial(a + b - 2 * r),
+                  den * math.factorial(r) * math.factorial(a - r) * math.factorial(b - r),
+                  big_r + r)
+                 for pos, num, den, big_r in terms for r in range(min(a, b) + 1)]
+    return tuple((pos, big_r ** first_r * num / den)
+                 for pos, num, den, big_r in terms if big_r or not first_r)
 
 
 def _two_dict_pairs(f_el, g_el, first_r, const, acc, seen):
@@ -230,7 +252,7 @@ def _order4_element() -> ChaosElement:
 
 def _peak_over_result(build) -> float:
     """tracemalloc peak of build() over the memory its result keeps."""
-    build()  # fill the _shared_terms cache first, so the result alone is kept
+    build()  # fill the _pair_cuts cache first, so the result alone is kept
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -127,6 +127,19 @@ class TestChaosFiles:
         with pytest.raises(io.SchemaError, match="dim"):
             io.chaos_from_dict({"dim": 3, "constant": 0.0, "kernels": [k]})
 
+    @pytest.mark.parametrize("obj", [{"dim": 0, "constant": 1.0}, {"dim": -3}],
+                             ids=["zero", "negative"])
+    def test_dim_below_one_refused_with_location(self, tmp_path, capsys, obj):
+        message = f"/dim: must be >= 1, got {obj['dim']}"
+        with pytest.raises(io.SchemaError, match=f"^/chaos{message}$"):
+            io.chaos_from_dict(obj)
+        path = tmp_path / "dim.json"
+        path.write_text(json.dumps(obj))
+        for argv in (["eval", "--chaos", str(path), "--point", "1"],
+                     ["moments", "--chaos", str(path)]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestReportsAndCsv:
     def test_report_round_trip(self, tmp_path):

@@ -8,18 +8,20 @@ only one side carries plus the copies _shared_terms keeps.  Both must
 agree in every bit and in the order of kernels and entries.  The pairs
 here aim at the cuts: shared labels of multiplicity 2 to 4 on each side,
 two or three shared labels, products at ORDER_CAP, and carres du champ,
-whose R = 0 term drops.
+whose R = 0 term drops.  The term table itself is compared with the
+frozen _shared_terms on every shape ORDER_CAP admits.
 """
 
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
 from chaoslab import ORDER_CAP, ChaosElement, SymmetricKernel, carre_du_champ, chaos, multiply
 from chaoslab.kernels import _multiplicities
-from test_in_place_builds import (F4, _assert_same_element, _coef, _two_dict_carre_du_champ,
-                                  _two_dict_multiply)
+from test_in_place_builds import (F4, _assert_same_element, _coef, _shared_terms,
+                                  _two_dict_carre_du_champ, _two_dict_multiply)
 
 
 def _element(dim, const, kernels):
@@ -105,7 +107,7 @@ def test_cuts_keep_the_terms_of_shared_terms():
         ab = tuple(sorted(rest + tuple(v for v, (a, b) in zip(labels, shape)
                                        for _ in range(a + b))))
         for first_r in (0, 1):
-            terms = chaos._shared_terms(shape, first_r)
+            terms = _shared_terms(shape, first_r)
             cuts = chaos._pair_cuts(shape, first_r)
             assert [w for _, w in cuts] == [w for _, w in terms]
             for (pos, _), (cut, _) in zip(terms, cuts):
@@ -118,9 +120,39 @@ def test_cuts_keep_the_terms_of_shared_terms():
     assert chaos._pair_cuts((), 1) == ()
 
 
-def test_pair_cuts_cache_is_keyed_like_shared_terms():
+def _admitted_shapes(total):
+    """Every shared-label shape ((a_1, b_1), ...), a_i, b_i >= 1, with
+    sum_i (a_i + b_i) <= total and each side of order at most ORDER_CAP."""
+    def grow(left):
+        yield ()
+        for s in range(2, left + 1):
+            for a in range(1, s):
+                for rest in grow(left - s):
+                    yield ((a, s - a),) + rest
+    return [shape for shape in grow(total)
+            if sum(a for a, _ in shape) <= ORDER_CAP and sum(b for _, b in shape) <= ORDER_CAP]
+
+
+@pytest.mark.parametrize("first_r, count", [(0, 128), (1, 510)])
+def test_every_admitted_shape_matches_shared_terms(first_r, count):
+    """A product meets shapes of total order up to ORDER_CAP, a carre du
+    champ up to ORDER_CAP + 2; on each, _pair_cuts holds _shared_terms'
+    terms in its order, each cut removing the copies the term does not keep,
+    with the same weight bits."""
+    shapes = _admitted_shapes(ORDER_CAP + 2 * first_r)
+    assert len(shapes) == count
+    for shape in shapes:
+        want = [(tuple((i, a + b - pos.count(i)) for i, (a, b) in enumerate(shape)
+                       if a + b > pos.count(i)), w.hex())
+                for pos, w in _shared_terms(shape, first_r)]
+        assert [(cuts, w.hex()) for cuts, w in chaos._pair_cuts(shape, first_r)] == want, shape
+
+
+def test_pair_cuts_cache_holds_one_table_per_shape():
+    """multiply(F4, F4) fills one cache entry per (shape, first_r) key it meets."""
+    entries = [_multiplicities(alpha) for alpha in F4.kernels[4].entries]
+    keys = {tuple([(am[v], bm[v]) for v in sorted(am.keys() & bm.keys())])
+            for am, bm in combinations_with_replacement(entries, 2)}
     chaos._pair_cuts.cache_clear()
-    chaos._shared_terms.cache_clear()
     multiply(F4, F4)
-    cuts, terms = chaos._pair_cuts.cache_info(), chaos._shared_terms.cache_info()
-    assert 0 < cuts.currsize <= terms.currsize
+    assert chaos._pair_cuts.cache_info().currsize == len(keys)
