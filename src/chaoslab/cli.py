@@ -44,6 +44,14 @@ def _cfg_samples(cfg: dict, minimum: int = MIN_SAMPLES) -> int:
     return n
 
 
+def _int_at_least(cfg: dict, key: str, least: int, **default) -> int:
+    """An integer field of the config that must be at least least."""
+    n = io.field(cfg, key, int, "config", **default)
+    if n < least:
+        raise io.SchemaError(f"config/{key}: expected an integer >= {least}, got {n}")
+    return n
+
+
 def _counts(cfg: dict, key: str) -> list[int]:
     """A non-empty list of positive integers: pair or coordinate counts."""
     counts = io.field(cfg, key, [int], "config", nonempty=True)
@@ -102,16 +110,16 @@ def _verify_call(name: str, cfg: dict, workers: int):
     checked; nothing is sampled until the call is made."""
     seed = io.field(cfg, "seed", int, "config")
     if name == "fourth-moment":
-        return partial(fourth_moment_certificate, io.field(cfg, "k", int, "config", default=2),
+        return partial(fourth_moment_certificate, _int_at_least(cfg, "k", 2, default=2),
                        _pair_sums(cfg), _cfg_samples(cfg), seed, workers=workers)
     if name == "shigekawa":
-        p = io.field(cfg, "p", int, "config")
+        p = _int_at_least(cfg, "p", 1)
         members = _pair_sums(cfg) if "indices" in cfg else _member_files(cfg)
         return partial(shigekawa_rate, p, members, _limit_from_config(cfg),
                        _cfg_samples(cfg), seed, workers=workers)
     if name == "dm":
         members, limit = _perturbation(cfg)
-        return partial(dm_rate, io.field(cfg, "k", int, "config"), members, limit,
+        return partial(dm_rate, _int_at_least(cfg, "k", 1), members, limit,
                        _cfg_samples(cfg), seed, workers=workers)
     if name == "cw":
         return partial(carbery_wright_probe, _chaos_from_config(cfg, "chaos"),

@@ -221,13 +221,22 @@ def _in_chaos(k: int, fel: ChaosElement, what: str) -> None:
 
 def _crn_tvs(members: Sequence[tuple[float, ChaosElement]], f_inf: ChaosElement,
              n_samples: int, seed: int, workers: int) -> list:
-    """Two-sample TV of each member against f_inf on common random numbers:
-    all are sampled at derive(seed, 0), so a member equal to the limit gives
-    TV exactly zero; member pos bootstraps at derive(seed, 1000 + pos)."""
-    ref = sample(f_inf, n_samples, rng.derive(seed, 0), workers=workers)
-    return [tv_two_samples(sample(fel, n_samples, rng.derive(seed, 0), workers=workers),
-                           ref, seed=rng.derive(seed, 1000 + pos))
-            for pos, (_, fel) in enumerate(members)]
+    """Two-sample TV of each member against f_inf on common random numbers.
+
+    The family (f_inf, *members) is one vector sample at derive(seed, 0):
+    sample draws each block's inputs once and evaluates every component
+    on them, so column 0 is f_inf and column pos + 1 is member pos, each
+    bit for bit as its own sample at that seed.  A member equal to the
+    limit gives TV exactly zero; member pos bootstraps at
+    derive(seed, 1000 + pos).  The sample holds (m + 1) * n_samples
+    floats for m members, where sampling one member at a time holds two
+    columns; the callers refuse a member of another dim (linear_combine)
+    before they sample.
+    """
+    values = sample(ChaosVector((f_inf, *(fel for _, fel in members))), n_samples,
+                    rng.derive(seed, 0), workers=workers)
+    return [tv_two_samples(values[:, pos + 1], values[:, 0], seed=rng.derive(seed, 1000 + pos))
+            for pos in range(len(members))]
 
 
 def _constants_agree(pts: Sequence[tuple[float, float]], stability_factor: float) -> bool:

@@ -675,6 +675,17 @@ class TestBootstrapMatchesReplicateLoop:
             _bits(_loop_wasserstein1(x, y, n_boot, 7))
 
     @pytest.mark.parametrize("n_boot", [0, 25])
+    def test_wasserstein1_ties_and_signed_zeros(self, n_boot):
+        # rounding leaves long runs of equal values; the sort may order -0.0
+        # and 0.0 either way, and gathering at sorted indices must not care
+        x, y = np.round(gauss(218, 6000), 1), np.round(gauss(219, 6000, sd=1.2), 1)
+        x[:40], x[40:80] = -0.0, 0.0
+        y[:25], y[25:90] = 0.0, -0.0
+        assert np.signbit(x).sum() > np.signbit(x[x < 0]).sum()  # -0.0 is present
+        assert _bits(_triple(wasserstein1(x, y, n_boot=n_boot, seed=7))) == \
+            _bits(_loop_wasserstein1(x, y, n_boot, 7))
+
+    @pytest.mark.parametrize("n_boot", [0, 25])
     def test_tv_two_samples(self, n_boot):
         x, y = gauss(207, 8000), gauss(208, 8000, mean=0.3)
         assert _triple(tv_two_samples(x, y, n_boot=n_boot, seed=7)) == \

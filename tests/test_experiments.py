@@ -204,6 +204,72 @@ class TestDmRate:
             dm_rate(2, [(0.25, self.BASE), (0.5, member)], limit, 2000, seed=1)
 
 
+def _per_member_crn_tvs(members, f_inf, n_samples, seed, workers):
+    """Frozen reference for _crn_tvs: the limit and then each member sampled
+    on its own at derive(seed, 0), so the same inputs are drawn m + 1 times."""
+    ref = experiments.sample(f_inf, n_samples, rng.derive(seed, 0), workers=workers)
+    return [distances.tv_two_samples(
+                experiments.sample(fel, n_samples, rng.derive(seed, 0), workers=workers),
+                ref, seed=rng.derive(seed, 1000 + pos))
+            for pos, (_, fel) in enumerate(members)]
+
+
+def _estimate_bits(est):
+    """An estimate with its floats as uint64, so that +0.0 and -0.0 differ."""
+    floats = np.array([est.value, est.ci_low, est.ci_high]).view(np.uint64).tolist()
+    return floats, est.method, est.n_samples
+
+
+class TestCommonRandomNumbers:
+    """_crn_tvs samples the limit and its members as one vector: each input
+    is drawn once, and every estimate is what per-member sampling gave."""
+
+    BASE = make_kernel(2, 2, [((1, 1), 1.0 / math.sqrt(2.0))])
+    DIRECTION = make_kernel(2, 2, [((1, 2), 0.5)])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("family", [
+        pytest.param(lambda: perturbation(TestCommonRandomNumbers.BASE,
+                                          TestCommonRandomNumbers.DIRECTION,
+                                          [0.5, 0.0, -0.25, 0.125]), id="dim2"),
+        # dim 40 at 8,000 rows: two sample blocks at either worker count
+        pytest.param(lambda: ([(float(n), pair_sum_element(n, dim=40)) for n in (2, 5, 20)],
+                              pair_sum_element(20, dim=40)), id="dim40"),
+    ])
+    def test_bits_match_per_member_sampling(self, family, workers):
+        members, limit = family()
+        got = experiments._crn_tvs(members, limit, 8000, 11, workers)
+        ref = _per_member_crn_tvs(members, limit, 8000, 11, workers)
+        assert [_estimate_bits(e) for e in got] == [_estimate_bits(e) for e in ref]
+        assert any(e.value == 0.0 for e in got)  # a member equal to the limit
+
+    def test_dm_draws_each_gaussian_once(self, monkeypatch):
+        draws = []
+        real = rng.gaussians
+
+        def spy(*args):
+            out = real(*args)
+            draws.append(out.size)
+            return out
+
+        monkeypatch.setattr(rng, "gaussians", spy)
+        members, limit = perturbation(self.BASE, self.DIRECTION, [0.5, 0.25, 0.125])
+        dm_rate(2, members, limit, 5000, seed=1)
+        assert sum(draws) == 5000 * limit.dim  # per-member sampling drew 4x this
+
+    @pytest.mark.parametrize("run", [
+        pytest.param(lambda members, limit: dm_rate(2, members, limit, 2000, seed=1), id="dm"),
+        pytest.param(lambda members, limit: d12_rate_probe(members, limit, 1.0, 2000, seed=1),
+                     id="d12"),
+    ])
+    def test_member_of_another_dim_refused_before_sampling(self, monkeypatch, run):
+        monkeypatch.setattr(experiments, "sample", _no_sampling)
+        members, limit = perturbation(self.BASE, self.DIRECTION, [0.5])
+        wide = single_integral(make_kernel(2, 3, [((1, 1), 1.0 / math.sqrt(2.0))]))
+        with pytest.raises(ValueError, match=r"^dim mismatch in combination: \[2, 3\]$"):
+            run([*members, (0.25, wide)], limit)
+
+
 class TestCarberyWright:
     def test_first_chaos_ratio(self):
         rep = carbery_wright_probe(basis_element(1, 1), [1.0], 20_000, seed=5)

@@ -507,6 +507,24 @@ class TestConfigExitCodes:
         assert f"error: {where}: expected a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    # each integer is refused where the config is read, before any experiment runs
+    @pytest.mark.parametrize("experiment, cfg, where, least", [
+        ("fourth-moment", {"indices": [6], "k": 0}, "config/k", 2),
+        ("fourth-moment", {"indices": [6], "k": 1}, "config/k", 2),
+        ("shigekawa", {"p": 0, "indices": [6], "limit": "standard-gaussian"}, "config/p", 1),
+        ("dm", {"k": 0, "base": K2, "direction": K2, "scales": [0.5]}, "config/k", 1),
+    ])
+    def test_integers_below_their_least_exit_2(self, tmp_path, capsys, experiment, cfg,
+                                               where, least):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 1, "n_samples": 5000, **cfg}))
+        out = tmp_path / "rep.json"
+        assert cli.main(["verify", experiment, "--config", str(cfg_path),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {where}: expected an integer >= {least}, got {cfg[where[7:]]}\n"
+        assert not out.exists()
+
     def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"seed": 1, "n_samples": 10_000, "chaos": H2_DICT,
