@@ -505,8 +505,13 @@ def sample(target: ChaosElement | ChaosVector, n_samples: int, seed: int,
     blocks and start a thread for each.  Each block is drawn at its own
     counters and then evaluated.  With workers > 1 and several blocks, a
     pool of workers threads takes whole blocks; otherwise they run in
-    turn.  Peak memory is bounded by one block (2 MiB) and one piece's
-    generator temporaries per worker, not by n_samples * dim.  Blocks
+    turn.  Peak memory is not bounded by n_samples * dim: it is the
+    output, plus per worker one block (at most 2 MiB of input), one
+    piece's generator temporaries and evaluate_batch's Hermite tables,
+    which hold (m + 1) * rows floats for each label of multiplicity
+    m >= 2.  Those tables can outweigh the block: 50k samples of a dim-2
+    element with two squared labels fill one 0.8 MB block and peak at
+    4.96 MiB under tracemalloc, a dim-200 pair sum at 3.88 MiB.  Blocks
     and workers only partition the counter stream and the rows, and
     cannot change any value.
     """

@@ -21,7 +21,8 @@ counts (row 0, the point estimate), and each statistic is called once on
 those arrays: the histogram TV and the chain DP are vectorized over the
 replicates (their arrays are small), while the KDE and 2d-grid
 statistics reduce row by row and build no (replicates, grid) float
-temporary.
+temporary.  W1 resamples sorted sets at sorted indices, gathered with
+np.take into two buffers that every replicate reuses.
 
 Only small_ball uses scipy (betaincinv, for the Clopper-Pearson
 interval), and imports it inside the function, so importing chaoslab,
@@ -395,22 +396,28 @@ def _dilate(a: np.ndarray, spare: np.ndarray, width: int) -> tuple[np.ndarray, n
     clamped as maximum_filter1d(mode="nearest") clamps them; returns the
     result and the free buffer (a and spare, in some order).
 
-    The reach grows 0 -> 1 -> 3 -> ... by doubling: step s combines the
-    entries s levels below, at and above each level.  np.maximum returns
-    its second argument on ties, and the arguments go in level order, so
-    among equal maxima (+0.0 and -0.0) the highest level wins, as it does
-    in maximum_filter1d.
+    One-sided first: g[l] = max(a[l .. l + reach]) grows its reach
+    0 -> 1 -> 3 -> ... -> width by doubling, one np.maximum per step
+    (the top rows, whose reach already ends at the last level, are
+    copied).  One two-sided pass then takes max(g[max(l - width, 0)],
+    g[l]).  That is ceil(log2(width + 1)) + 1 passes.  np.maximum returns
+    its second argument on ties, and the higher levels always go second,
+    so among equal maxima (+0.0 and -0.0) the highest level wins, as it
+    does in maximum_filter1d.
     """
     width = min(width, a.shape[0] - 1)
+    if width <= 0:
+        return a, spare
     reach = 0
     while reach < width:
         s = min(reach + 1, width - reach)
-        np.maximum(a[:-s], a[s:], out=spare[s:])
-        spare[:s] = a[:s]
-        np.maximum(spare[:-s], a[s:], out=spare[:-s])
+        np.maximum(a[:-s], a[s:], out=spare[:-s])
+        spare[-s:] = a[-s:]
         a, spare = spare, a
         reach += s
-    return a, spare
+    np.maximum(a[0], a[:width], out=spare[:width])
+    np.maximum(a[:-width], a[width:], out=spare[width:])
+    return spare, a
 
 
 def _fm_stat(diff: np.ndarray, lv: np.ndarray, window: int | None) -> np.ndarray:
@@ -419,7 +426,10 @@ def _fm_stat(diff: np.ndarray, lv: np.ndarray, window: int | None) -> np.ndarray
 
     The windowed DP runs levels-major: best is (levels, rows) and diff is
     transposed once to (cells, rows), so the running maximum over the
-    window (_dilate) works on contiguous row slices.  A cell that is zero
+    window (_dilate: one-sided doubling, then one two-sided pass) works
+    on contiguous row slices.  Each cell's term multiplies a full
+    (levels, rows) level matrix, built once, by the cell's row, which
+    numpy iterates faster than a broadcast level column.  A cell that is zero
     in every row, i.e. empty in both histograms (a bootstrap redraw never
     fills it), is skipped and its window is added to the next dilation:
     k dilations of half-width w are one of half-width k w.  Empty cells at
@@ -442,13 +452,13 @@ def _fm_stat(diff: np.ndarray, lv: np.ndarray, window: int | None) -> np.ndarray
             best = lv * diff[:, j:j + 1] + best.max(axis=1, keepdims=True)
         return best.max(axis=1)
     rows = np.ascontiguousarray(diff.T)
-    col = lv[:, None]
-    best = col * rows[0]
+    lvm = np.repeat(lv[:, None], rows.shape[1], axis=1)
+    best = lvm * rows[0]
     spare = np.empty_like(best)
     prev = 0
     for j in cols:
         best, spare = _dilate(best, spare, (j - prev) * window)
-        np.multiply(col, rows[j], out=spare)
+        np.multiply(lvm, rows[j], out=spare)
         best += spare
         prev = j
     best, _ = _dilate(best, spare, (diff.shape[1] - 1 - prev) * window)
@@ -490,7 +500,10 @@ def wasserstein1(s1, s2, n_boot: int = 200, seed: int = 0) -> DistanceEstimate:
     stream gen.choice draws, so replicates are those of
     gen.choice(a, size=n); since a and b are sorted, gathering them at
     sorted indices gives the sorted resample.  Sorting uint32 indices is
-    faster than sorting the float resample (int64 indices are slower).
+    faster than sorting the float resample (int64 indices are slower),
+    but fancy indexing a[ia] with them is numpy's slow path, so the
+    gather is np.take into two n-float buffers made once; the indices
+    lie in [0, n), so mode="clip" never moves one.
     """
     x1, x2 = _samples(s1), _samples(s2)
     if x1.size != x2.size:
@@ -502,13 +515,15 @@ def wasserstein1(s1, s2, n_boot: int = 200, seed: int = 0) -> DistanceEstimate:
     point = float(np.abs(a - b).mean())
     gen = np.random.default_rng(rng.derive(seed, 0x7D5))
     boots = np.empty(n_boot)
+    ra, rb = np.empty(n), np.empty(n)
     for i in range(n_boot):
         ia = gen.integers(0, n, size=n, dtype=np.uint32)
         ib = gen.integers(0, n, size=n, dtype=np.uint32)
         ia.sort()
         ib.sort()
-        ra = a[ia]
-        np.subtract(ra, b[ib], out=ra)
+        np.take(a, ia, out=ra, mode="clip")
+        np.take(b, ib, out=rb, mode="clip")
+        np.subtract(ra, rb, out=ra)
         boots[i] = np.abs(ra, out=ra).mean()
     return _finish(point, boots, "w1-sorted", (n, n))
 

@@ -11,7 +11,7 @@ from chaoslab import (DegenerateSampleError, fm_two_samples, small_ball,
                       tv_multivariate, tv_two_samples, tv_vs_density,
                       wasserstein1)
 from chaoslab import distances, rng
-from chaoslab.distances import (KDE_GRID_POINTS, _fm_lattice, _fm_stat, normal_cdf,
+from chaoslab.distances import (KDE_GRID_POINTS, _dilate, _fm_lattice, _fm_stat, normal_cdf,
                                 normal_pdf)
 
 TV_SHIFT3 = math.erf(1.5 / math.sqrt(2.0))  # TV of unit normals 3 apart: 2 Phi(1.5) - 1
@@ -668,9 +668,26 @@ class TestBootstrapMatchesReplicateLoop:
         assert _bits(_fm_stat(diff, lv, window)) == \
             _bits([_loop_fm_stat(d, lv, window) for d in diff])
 
+    @pytest.mark.parametrize("levels", range(1, 31))
+    def test_dilate_matches_maximum_filter(self, levels):
+        # ties and signed zeros from a small value set; widths past the
+        # lattice include the multiples of a window that runs of empty
+        # cells add up to
+        from scipy.ndimage import maximum_filter1d
+
+        gen = np.random.default_rng(levels)
+        values = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+        for rows in range(1, 5):
+            for width in [*range(levels + 4), 3 * levels, 3 * 40]:
+                a = gen.choice(values, size=(levels, rows))
+                want = maximum_filter1d(a, size=2 * width + 1, axis=0, mode="nearest")
+                got, _ = _dilate(a.copy(), np.empty_like(a), width)
+                assert _bits(got) == _bits(want), (rows, width)
+
+    @pytest.mark.parametrize("n", [1, 2, 6000])
     @pytest.mark.parametrize("n_boot", [0, 25])
-    def test_wasserstein1(self, n_boot):
-        x, y = gauss(216, 6000), gauss(217, 6000, mean=0.2, sd=1.4)
+    def test_wasserstein1(self, n_boot, n):
+        x, y = gauss(216, n), gauss(217, n, mean=0.2, sd=1.4)
         assert _bits(_triple(wasserstein1(x, y, n_boot=n_boot, seed=7))) == \
             _bits(_loop_wasserstein1(x, y, n_boot, 7))
 
