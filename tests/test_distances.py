@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chaoslab import (DegenerateSampleError, fm_two_samples, small_ball,
-                      tv_multivariate, tv_two_samples, tv_vs_density,
+from chaoslab import (DegenerateSampleError, fm_two_samples, pair_sum_element, sample,
+                      small_ball, tv_multivariate, tv_two_samples, tv_vs_density,
                       wasserstein1)
 from chaoslab import distances, rng
 from chaoslab.distances import (KDE_GRID_POINTS, _dilate, _fm_lattice, _fm_stat, normal_cdf,
@@ -41,34 +41,34 @@ class TestNormalTarget:
             f(x, mean, var)
 
 
+NDTR_RTOL = 1e-13   # test_seeded_sample's points read at most 5.7e-14 (501 ulp, x = -34.7)
+
+
+def near_ndtr(got, want) -> bool:
+    """|got - want| <= NDTR_RTOL want + tiny: relative where ndtr is a normal
+    double, absolute below, since ndtr underflows to 0 under x = -37.68
+    while erfc still returns subnormals."""
+    return bool(np.all(np.abs(got - want) <= NDTR_RTOL * want + np.finfo(float).tiny))
+
+
 class TestNormalCdfMatchesNdtr:
-    """normal_cdf ports the Cephes ndtr behind scipy.special.ndtr and must
-    return the same bits: compared as uint64, never within a tolerance."""
+    """normal_cdf is 0.5 erfc(-z / sqrt 2), which agrees with Cephes'
+    ndtr behind scipy.special.ndtr to NDTR_RTOL, not bit for bit: the two
+    differ at 41% of test_seeded_sample's points, by the most in the far
+    left tail, where both lose accuracy to exp(-z^2 / 2)."""
 
     def test_seeded_sample(self):
         from scipy.special import ndtr
         gen = np.random.default_rng(20)
         x = np.concatenate([gen.normal(0.0, 3.0, 60_000), gen.uniform(-40.0, 40.0, 30_000),
                             gen.normal(0.0, 0.7, 20_000), gen.uniform(-9.0, -3.0, 10_000)])
-        assert (bits(normal_cdf(x)) == bits(ndtr(x))).all()
+        assert near_ndtr(normal_cdf(x), ndtr(x))
 
-    def test_branch_edges_and_special_values(self):
-        from scipy.special import ndtr
-        s, maxlog = distances._SQRT1_2, distances._MAXLOG
-        cuts = [(math.sqrt(2.0), lambda z: z < 1.0),            # erf | erfc
-                (8.0 * math.sqrt(2.0), lambda z: z < 8.0),      # P/Q | R/S
-                (math.sqrt(maxlog) / s, lambda z: -z * z < -maxlog)]  # underflow to 0
-        parts = []
-        for a, side in cuts:
-            window = a + np.arange(-8, 9) * np.spacing(a)   # a and 8 neighbours each way
-            assert len({side(abs(v * s)) for v in window}) == 2   # the window straddles the cut
-            parts += [window, -window]
-        tiny = np.finfo(float).tiny
-        parts.append([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
-                      tiny, -tiny, np.nextafter(tiny, 0.0), -1e-310, 1.7976931348623157e308,
-                      -1.7976931348623157e308])
-        x = np.concatenate(parts)
-        assert (bits(normal_cdf(x)) == bits(ndtr(x))).all()
+    def test_special_values(self):
+        big = 1.7976931348623157e308
+        x = np.array([0.0, -0.0, 5e-324, -5e-324, math.inf, big, -math.inf, -big])
+        assert (bits(normal_cdf(x)) == bits([0.5] * 4 + [1.0] * 2 + [0.0] * 2)).all()
+        assert np.isnan(normal_cdf(np.array([math.nan, -math.nan]))).all()
 
     @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
     def test_shapes(self, shape):
@@ -77,14 +77,14 @@ class TestNormalCdfMatchesNdtr:
         got = normal_cdf(x, 1.5, 2.5)
         want = ndtr((x - 1.5) / math.sqrt(2.5))
         assert np.shape(got) == shape and type(got) is type(want)
-        assert (bits(got) == bits(want)).all()
+        assert near_ndtr(got, want)
 
     @pytest.mark.parametrize("x", [0.3, -2, np.float64(4.1)])
     def test_scalar_in_scalar_out(self, x):
         from scipy.special import ndtr
         got = normal_cdf(x)
         assert isinstance(got, float) and np.ndim(got) == 0
-        assert bits(got) == bits(ndtr(x))
+        assert near_ndtr(got, ndtr(x))
 
 
 class TestTvVsDensity:
@@ -118,6 +118,20 @@ class TestTvVsDensity:
     def test_value_in_unit_interval(self):
         est = tv_vs_density(gauss(106, 2000, mean=40.0), 0.0, 1.0, seed=1)
         assert 0.0 <= est.value <= 1.0 and est.ci_high <= 1.0
+
+    @pytest.mark.parametrize("draw, var, want", [
+        (lambda: gauss(230, 1000), 2.0,   # tail mass 3.1e-3
+         (0x3FC2026959F04C65, 0x3FBEEDC1A7A125E0, 0x3FC480A6A235B750)),
+        (lambda: sample(pair_sum_element(2), 5000, 231), 1.0,   # 5.5e-13
+         (0x3FC1F54B8808C7AC, 0x3FC0A9E48F5F8EAF, 0x3FC3419DD13FBF94)),
+        (lambda: sample(pair_sum_element(10), 20_000, 232), 0.5,   # 3.3e-12
+         (0x3FC271F3C53BBBE0, 0x3FC1ADC3EE93B5FF, 0x3FC332205A0CFAA6)),
+    ], ids=["gauss-1000", "pair2-5000", "pair10-20000"])
+    def test_recorded_bits(self, draw, var, want):
+        # the target's tail mass beyond the KDE grid enters value and both
+        # CI ends; these bits were recorded with the Cephes ndtr normal_cdf
+        est = tv_vs_density(draw(), 0.0, var, seed=1)
+        assert bits([est.value, est.ci_low, est.ci_high]).tolist() == list(want)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("mean, var, name", BAD_TARGETS)
