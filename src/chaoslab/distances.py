@@ -15,14 +15,15 @@ discretization can cost at most 2/(levels-1).
 Every estimator is a pure function of (inputs, seed): bootstrap
 resampling happens on histogram counts (multinomially), which is
 distribution-identical to resampling the underlying observations for
-these statistics, and much cheaper.  The replicates are drawn one after
-another into one preallocated array per argument, under the observed
-counts (row 0, the point estimate), and each statistic is called once on
-those arrays: the histogram TV and the chain DP are vectorized over the
+these statistics, and much cheaper.  One multinomial call draws every
+replicate of every argument, plus one spare row that the observed counts
+(the point estimate) overwrite, and each statistic is called once on
+those rows: the histogram TV and the chain DP are vectorized over the
 replicates (their arrays are small), while the KDE and 2d-grid
 statistics reduce row by row and build no (replicates, grid) float
-temporary.  W1 resamples sorted sets at sorted indices, gathered with
-np.take into two buffers that every replicate reuses.
+temporary.  The FM chain DP returns +0.0 for every zero value.  W1
+resamples sorted sets at sorted indices, gathered with np.take into two
+buffers that every replicate reuses.
 
 Only small_ball uses scipy (betaincinv, for the Clopper-Pearson
 interval), and imports it inside the function, so importing chaoslab,
@@ -110,26 +111,23 @@ def _bootstrap(stat, samples: list[tuple[np.ndarray, int]], n_boot: int,
                cap: float | None = None) -> DistanceEstimate:
     """stat on the observed counts plus a multinomial bootstrap CI.
 
-    samples holds one (counts, n) pair per argument of stat; each replicate
-    redraws every argument's counts, in argument order, from one generator
-    seeded by (seed, label).  Each argument gets one (n_boot + 1, cells)
-    array, of the counts' dtype widened to int64 (so float for
-    histogram2d cells): row 0 is the observed counts and row i the ith
-    replicate, written in place as it is drawn.  stat is called once on
-    the arrays and returns one value per row.  A cap clamps the value and
-    both CI ends.
+    samples holds one (counts, n) pair per argument of stat, all with the
+    same number of cells.  One multinomial call, seeded by (seed, label),
+    draws an int64 (n_boot + 1, arguments, cells) array; C order draws
+    replicate i's arguments in turn, which is the stream of a loop over
+    replicates and arguments.  The last row is a spare draw, overwritten
+    with the observed counts (the point estimate), so rows 0 .. n_boot - 1
+    are the replicates and nothing is joined or copied.  stat is called
+    once, on one (n_boot + 1, cells) view per argument, and returns one
+    value per row.  A cap clamps the value and both CI ends.
     """
     gen = np.random.default_rng(rng.derive(seed, label))
-    probs = [(n, c / n) for c, n in samples]
-    arrays = [np.empty((n_boot + 1, c.size), dtype=np.result_type(c, np.int64))
-              for c, _ in samples]
-    for a, (c, _) in zip(arrays, samples):
-        a[0] = c
-    for i in range(1, n_boot + 1):
-        for a, (n, p) in zip(arrays, probs):
-            a[i] = gen.multinomial(n, p)
-    vals = stat(*arrays)
-    return _finish(vals[0], vals[1:], method, tuple(n for _, n in samples), cap)
+    counts = np.array([c for c, _ in samples], dtype=np.int64)
+    ns = np.array([n for _, n in samples])
+    rows = gen.multinomial(ns, counts / ns[:, None], size=(n_boot + 1, len(samples)))
+    rows[-1] = counts
+    vals = stat(*rows.transpose(1, 0, 2))
+    return _finish(vals[-1], vals[:-1], method, tuple(n for _, n in samples), cap)
 
 
 def _pooled_counts(x1: np.ndarray, x2: np.ndarray, bins: int):
@@ -238,13 +236,10 @@ def tv_vs_density(batch, mean: float = 0.0, var: float = 1.0,
 
 def _cube_root_floor(n: int) -> int:
     """floor(n^(1/3)) for n >= 0, exact where the float cube root of a
-    perfect cube (21^3 = 9261 gives 20.99...) falls below it."""
+    perfect cube (21^3 = 9261 gives 20.99...) falls below it: the rounded
+    float root is the floor or one above it, and one check decides."""
     k = round(n ** (1.0 / 3.0))
-    while k ** 3 > n:
-        k -= 1
-    while (k + 1) ** 3 <= n:
-        k += 1
-    return k
+    return k - (k ** 3 > n)
 
 
 def tv_two_samples(s1, s2, n_boot: int = 200, seed: int = 0) -> DistanceEstimate:
@@ -304,7 +299,7 @@ def tv_multivariate(batch, cov, n_boot: int = 200, seed: int = 0) -> DistanceEst
     return _bootstrap(stat, [(cells, n)], n_boot, seed, 0x7D3, "tv-grid2d", cap=1.0)
 
 
-def _fm_lattice(dx: float, levels: int, cells: int) -> tuple[np.ndarray, int | None]:
+def _fm_lattice(dx: float, levels: int, cells: int) -> tuple[np.ndarray, int]:
     """Level lattice for the chain DP, plus the window in level steps.
 
     The step is dx / m with integer m, so the Lipschitz bound between
@@ -319,8 +314,9 @@ def _fm_lattice(dx: float, levels: int, cells: int) -> tuple[np.ndarray, int | N
     small when the pooled range is tiny.
     """
     if dx >= 2.0:
-        # cells wider than the whole value range: chain constraint is void
-        return np.linspace(-1.0, 1.0, levels), None
+        # cells wider than the whole value range: chain constraint is void,
+        # and a window of levels - 1 spans the lattice
+        return np.linspace(-1.0, 1.0, levels), levels - 1
     m = max(1, math.ceil(dx * (levels - 1) / 2.0 - 1e-12))
     step = dx / m
     count = int(min(2.0, dx * cells) / step + 1e-9) + 1
@@ -339,7 +335,8 @@ def _dilate(a: np.ndarray, spare: np.ndarray, width: int) -> tuple[np.ndarray, n
     g[l]).  That is ceil(log2(width + 1)) + 1 passes.  np.maximum returns
     its second argument on ties, and the higher levels always go second,
     so among equal maxima (+0.0 and -0.0) the highest level wins, as it
-    does in maximum_filter1d.
+    does in maximum_filter1d; _fm_stat reads every zero as +0.0, so the
+    FM value does not depend on that order.
     """
     width = min(width, a.shape[0] - 1)
     if width <= 0:
@@ -356,11 +353,11 @@ def _dilate(a: np.ndarray, spare: np.ndarray, width: int) -> tuple[np.ndarray, n
     return spare, a
 
 
-def _fm_stat(diff: np.ndarray, lv: np.ndarray, window: int | None) -> np.ndarray:
+def _fm_stat(diff: np.ndarray, lv: np.ndarray, window: int) -> np.ndarray:
     """Chain-constrained maximization of sum phi_j diff_j by DP over levels,
     for every row of diff at once (one value per row).
 
-    The windowed DP runs levels-major: best is (levels, rows) and diff is
+    The DP runs levels-major: best is (levels, rows) and diff is
     transposed once to (cells, rows), so the running maximum over the
     window (_dilate: one-sided doubling, then one two-sided pass) works
     on contiguous row slices.  Each cell's term multiplies a full
@@ -369,24 +366,17 @@ def _fm_stat(diff: np.ndarray, lv: np.ndarray, window: int | None) -> np.ndarray
     in every row, i.e. empty in both histograms (a bootstrap redraw never
     fills it), is skipped and its window is added to the next dilation:
     k dilations of half-width w are one of half-width k w.  Empty cells at
-    the end are folded into one last dilation.
+    the end need no dilation: it keeps the maximum over all levels.  A
+    window that spans the lattice (levels - 1 when dx >= 2) takes the same
+    path, its dilation clamped to the lattice.
 
-    Every value equals the cell-by-cell DP's bit for bit.  The maxima are
-    exact, so only the sign of a zero could differ, and only in a row that
-    is zero throughout (the point estimate of identical inputs; diff = p - q
-    holds no -0.0).  For that row the last dilation, the level order of
-    ties in _dilate and the final reduction over a replicate-major copy
-    keep the cell-by-cell signed zero.  When the window spans the lattice
-    the DP keeps its replicate-major form, because it reduces over the
-    levels of each replicate after every cell.
+    Every nonzero value equals the cell-by-cell DP's bit for bit: the
+    maxima are exact, so only the sign of a zero could differ, and only in
+    a row that is zero throughout (the point estimate of identical inputs;
+    diff = p - q holds no -0.0).  Every zero is returned as +0.0.
     """
     cols = np.flatnonzero(diff.any(axis=0))
     cols = cols[cols > 0]
-    if window is None or window >= lv.size - 1:
-        best = lv * diff[:, :1]
-        for j in cols:
-            best = lv * diff[:, j:j + 1] + best.max(axis=1, keepdims=True)
-        return best.max(axis=1)
     rows = np.ascontiguousarray(diff.T)
     lvm = np.repeat(lv[:, None], rows.shape[1], axis=1)
     best = lvm * rows[0]
@@ -397,8 +387,7 @@ def _fm_stat(diff: np.ndarray, lv: np.ndarray, window: int | None) -> np.ndarray
         np.multiply(lvm, rows[j], out=spare)
         best += spare
         prev = j
-    best, _ = _dilate(best, spare, (diff.shape[1] - 1 - prev) * window)
-    return np.ascontiguousarray(best.T).max(axis=1)
+    return best.max(axis=0) + 0.0
 
 
 def fm_two_samples(s1, s2, cells: int = 512, levels: int = 201,
@@ -410,6 +399,7 @@ def fm_two_samples(s1, s2, cells: int = 512, levels: int = 201,
     discretized to a lattice of roughly the given level count.  Returns
     the attained maximum: a lower bound of the supremum over the
     discretized class that converges as cells and levels grow.
+    Identical inputs give exactly +0.0.
     """
     x1, x2 = _samples(s1, MIN_SAMPLES), _samples(s2, MIN_SAMPLES)
     _at_least(cells, 1, "cells")

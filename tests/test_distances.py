@@ -182,6 +182,18 @@ class TestTvTwoSamples:
         tv_two_samples(gauss(118, n), gauss(119, n + 5), n_boot=0, seed=1)
         assert seen == [k if step >= 0 else k - 1]
 
+    def test_cube_root_floor_is_integer_floor(self):
+        def floor_cbrt(n):  # integer bisection: lo^3 <= n < hi^3
+            lo, hi = 0, n + 1
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if mid ** 3 <= n else (lo, mid)
+            return lo
+
+        ks = [*range(1, 300), 10 ** 4, 2 * 10 ** 5 - 1, 10 ** 6]
+        ns = [*range(5000), *(k ** 3 + step for k in ks for step in (-1, 0, 1))]
+        assert [distances._cube_root_floor(n) for n in ns] == [floor_cbrt(n) for n in ns]
+
 
 class TestTvMultivariate:
     def test_self_distance(self):
@@ -638,7 +650,7 @@ class TestBootstrapMatchesReplicateLoop:
     def test_fm_void_chain_constraint(self, n_boot):
         x, y = gauss(205, 4000, sd=3.0), gauss(206, 4000, mean=1.0, sd=3.0)
         window, _, ref = _loop_fm(x, y, 2, 201, n_boot, 7)
-        assert window is None
+        assert window == 200  # spans the 201-level lattice
         assert _bits(_triple(fm_two_samples(x, y, cells=2, n_boot=n_boot,
                                             seed=7))) == _bits(ref)
 
@@ -670,17 +682,22 @@ class TestBootstrapMatchesReplicateLoop:
         assert _bits(_triple(est)) == _bits(ref)
 
     @pytest.mark.parametrize("cells, levels, dx", [
-        (2, 17, 0.5),   # all-zero rows end mixed: the final reduction decides the sign
-        (4, 9, 0.3),    # trailing empty cells still move those signs
+        (2, 17, 0.5),   # all-zero rows end mixed
+        (4, 9, 0.3),    # trailing empty cells
         (2, 9, 1.9),    # window spans the lattice
-        (3, 17, 0.34),  # equal maxima: the highest level's signed zero wins
+        (3, 17, 0.34),  # equal maxima of both signs
+        (1, 9, 0.5),    # one cell: no dilation at all
+        (2, 9, 2.5),    # dx >= 2: the chain constraint is void
     ])
     def test_fm_stat_all_zero_rows(self, cells, levels, dx):
+        # the cell-by-cell DP may end an all-zero row on -0.0; _fm_stat
+        # reads every zero as +0.0 and every other value bit for bit
         lv, window = _fm_lattice(dx, levels, cells)
         diff = np.zeros((3, cells))
-        diff[1, :2] = 0.25, -0.25
-        assert _bits(_fm_stat(diff, lv, window)) == \
-            _bits([_loop_fm_stat(d, lv, window) for d in diff])
+        diff[1, :2] = [0.25, -0.25][:cells]
+        got = _fm_stat(diff, lv, window)
+        assert _bits(got) == _bits([_loop_fm_stat(d, lv, window) + 0.0 for d in diff])
+        assert _bits(got[[0, 2]]) == [0, 0]  # +0.0 as uint64
 
     @pytest.mark.parametrize("levels", range(1, 31))
     def test_dilate_matches_maximum_filter(self, levels):
@@ -812,12 +829,17 @@ class TestBootstrapMatchesStackedArrays:
                 return np.zeros(len(arrays[0]))
             return stat
 
+        # the statistic gets int64 arrays whatever the counts' dtype: the
+        # replicates first, in the stacked order, and the observed counts last
         other = np.array([1, 4, 4, 1])
         got, want = [], []
         for bootstrap, into in ((distances._bootstrap, got), (_stacked_bootstrap, want)):
             bootstrap(collect(into), [(counts, 10), (other, 10)], 25, 7, 0x7D2, "m")
-        assert [a.dtype for a in got] == [a.dtype for a in want] == [counts.dtype, np.int64]
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert [a.dtype for a in got] == [np.int64, np.int64]
+        assert [a.shape for a in got] == [(26, 4), (26, 4)]
+        for a, b, observed in zip(got, want, (counts, other)):
+            assert np.array_equal(a[-1], observed)
+            assert np.array_equal(a[:-1], b[1:])
 
     @pytest.mark.parametrize("n_boot", [0, 1, 25])
     def test_tv_vs_density(self, monkeypatch, n_boot):
